@@ -15,7 +15,6 @@ from .errors import (
     EnumerationTooLargeError,
     FieldError,
     FileFormatError,
-    FormatError,
     InfeasibleError,
     MemboundError,
     TrivialRegimeError,
@@ -90,7 +89,6 @@ __all__ = [
     "TrivialRegimeError",
     "InfeasibleError",
     "FieldError",
-    "FormatError",
     "FileFormatError",
     "EnumerationTooLargeError",
     # measures

@@ -29,7 +29,6 @@ from .errors import (
     EnumerationTooLargeError,
     FieldError,
     FileFormatError,
-    FormatError,
     InfeasibleError,
     MemboundError,
     TrivialRegimeError,
@@ -44,7 +43,6 @@ _ERROR_SLUGS = (
     (FileFormatError, "file-format"),
     (DistributionError, "distribution"),
     (FieldError, "field"),
-    (FormatError, "format"),
     (DomainError, "domain"),
     (MemboundError, "domain"),
     (OSError, "io"),
@@ -82,11 +80,11 @@ def _write(text: str, out: Optional[str]) -> None:
             sys.stdout.write("\n")
 
 
-def _emit_doc(args, lines: list[str], doc: dict) -> None:
-    if args.json:
-        _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+def _emit_doc(as_json: bool, lines: list[str], doc: dict, out: Optional[str]) -> None:
+    if as_json:
+        _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", out)
     else:
-        _write("\n".join(lines) + "\n", args.out)
+        _write("\n".join(lines) + "\n", out)
 
 
 def _parse_p_values(text: str) -> list[float]:
@@ -153,7 +151,7 @@ def _run_optimal(args) -> int:
     lines.append(f"mu_N: {_atoms_text(best.mu_N)}")
     doc["mu_K"] = _atoms_json(best.mu_K)
     doc["mu_N"] = _atoms_json(best.mu_N)
-    _emit_doc(args, lines, doc)
+    _emit_doc(args.json, lines, doc, args.out)
     return 0
 
 
@@ -225,10 +223,8 @@ def _run_filter_build(args) -> int:
         "bits_per_key": report.bits_payload / params.n,
         "out": args.out,
     }
-    out = args.out
-    args.out = None  # the report goes to stdout; --out holds the filter blob
-    _emit_doc(args, lines, doc)
-    args.out = out
+    # The report goes to stdout; --out holds the filter blob.
+    _emit_doc(args.json, lines, doc, None)
     return 0
 
 
@@ -265,7 +261,7 @@ def _run_filter_bench(args) -> int:
         "target_fpr": target,
         "trials": rates.trials,
     }
-    _emit_doc(args, lines, doc)
+    _emit_doc(args.json, lines, doc, args.out)
     return 0
 
 
@@ -289,7 +285,7 @@ def _run_oracle_tiny(args) -> int:
                 "table": [list(row) for row in pt.table],
             }
         )
-    _emit_doc(args, lines, {"points": points})
+    _emit_doc(args.json, lines, {"points": points}, args.out)
     return 0
 
 
@@ -309,7 +305,7 @@ def _run_oracle_fpr(args) -> int:
         "target_fpr": target,
         "matches_target": float(fpr) == target,
     }
-    _emit_doc(args, lines, doc)
+    _emit_doc(args.json, lines, doc, args.out)
     return 0
 
 
@@ -340,7 +336,7 @@ def _run_estimate_kl(args) -> int:
         "q_star": best.q_star,
         "logloss_rate_bits_per_key": best.rate_bits_per_key,
     }
-    _emit_doc(args, lines, doc)
+    _emit_doc(args.json, lines, doc, args.out)
     return 0
 
 

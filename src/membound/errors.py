@@ -13,7 +13,6 @@ __all__ = [
     "TrivialRegimeError",
     "InfeasibleError",
     "FieldError",
-    "FormatError",
     "FileFormatError",
     "EnumerationTooLargeError",
 ]
@@ -49,12 +48,9 @@ class FieldError(MemboundError):
     mismatched lengths)."""
 
 
-class FormatError(MemboundError):
-    """A serialized filter blob is malformed, truncated, or inconsistent."""
-
-
 class FileFormatError(MemboundError):
-    """A text input file (scores, keys) is malformed."""
+    """Input data is malformed: a serialized filter blob that is truncated or
+    inconsistent, or a text input file (scores, keys)."""
 
 
 class EnumerationTooLargeError(DomainError):

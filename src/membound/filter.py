@@ -35,6 +35,7 @@ from .galois import (
     PrimeField,
     WordStream,
     is_prime,
+    matmul_mod,
     nullspace_of_matrix,
     sample_field_elements,
 )
@@ -65,6 +66,7 @@ _MAX_DENOMINATOR = (1 << 32) - 1
 _ELEMENT_TAG = b"E"
 _CANDIDATE_TAG = b"C"
 _BATCH = 4096
+_MAX_SEARCH_BUDGET = 10**7
 
 # Two-sided 99% normal quantile used for Wilson confidence intervals.
 _WILSON_Z99 = 2.5758293035489004
@@ -166,6 +168,13 @@ class FilterParams:
         return math.ceil((1 - self.eps_K) * self.n)
 
 
+def _default_search_budget(q: int, m: int) -> int:
+    """``min(q**m - 1, 10**7)``, computing ``q**m`` only when it spans <= 64 bits."""
+    if m * math.log2(q) > 64:
+        return _MAX_SEARCH_BUDGET
+    return min(q**m - 1, _MAX_SEARCH_BUDGET)
+
+
 def _sized_m(n: int, eps_K: Fraction, q: int, t_n: float) -> int:
     rate = optimal_binary(float(eps_K), 1.0 / q).rate_bits_per_key
     return math.ceil((n * rate + t_n) / math.log2(q))
@@ -198,7 +207,7 @@ def derive_params(n: int, eps_K, eps_N, seed: int) -> FilterParams:
         m=m,
         t_n=t_n,
         seed=seed,
-        search_budget=min(q**m - 1, 10**7),
+        search_budget=_default_search_budget(q, m),
     )
 
 
@@ -244,31 +253,6 @@ def _hash_rows(params: FilterParams, elements: Sequence[bytes]) -> np.ndarray:
     return out
 
 
-def _dot_many(rows: np.ndarray, y: np.ndarray, q: int) -> np.ndarray:
-    """``rows @ y`` mod q for an (k, m) row matrix, overflow-safe."""
-    if rows.shape[0] == 0:
-        return np.zeros(0, dtype=np.int64)
-    m = rows.shape[1]
-    if m * (q - 1) ** 2 < 1 << 62:
-        return (rows @ y) % q
-    out = np.empty(rows.shape[0], dtype=np.int64)
-    for i in range(rows.shape[0]):
-        out[i] = sum(int(a) * int(b) for a, b in zip(rows[i], y)) % q
-    return out
-
-
-def _satisfied_counts(rows: np.ndarray, candidates: np.ndarray, q: int) -> np.ndarray:
-    """Number of key rows orthogonal to each candidate vector."""
-    m = rows.shape[1]
-    if m * (q - 1) ** 2 < 1 << 62:
-        dots = (candidates @ rows.T) % q
-    else:
-        dots = np.zeros((candidates.shape[0], rows.shape[0]), dtype=np.int64)
-        for j in range(m):
-            dots = (dots + np.outer(candidates[:, j], rows[:, j])) % q
-    return (dots == 0).sum(axis=1)
-
-
 def build(
     params: FilterParams, keys: Sequence[bytes]
 ) -> tuple[FilterState | None, BuildReport]:
@@ -300,7 +284,7 @@ def build(
         kernel = nullspace_of_matrix(rows, params.q)
         # m = n + ceil(t_n/log2 q) > n bounds the rank below m, so a
         # nonzero kernel vector always exists.
-        satisfied = int((_dot_many(rows, kernel, params.q) == 0).sum())
+        satisfied = int((matmul_mod(rows, kernel, params.q) == 0).sum())
         state = FilterState(params, FieldVector.from_array(field, kernel))
         return state, BuildReport(
             satisfied, 0, params.bits_payload, satisfied >= threshold
@@ -321,14 +305,14 @@ def build(
         if candidates.shape[0] == 0:
             continue
         candidates = candidates[: budget - tried]
-        counts = _satisfied_counts(rows, candidates, params.q)
+        counts = (matmul_mod(rows, candidates.T, params.q) == 0).sum(axis=0)
         best = max(best, int(counts.max()))
         hits = np.flatnonzero(counts >= threshold)
         if hits.size:
             first = int(hits[0])
             tried += first + 1
             winner = candidates[first]
-            satisfied = int((_dot_many(rows, winner, params.q) == 0).sum())
+            satisfied = int((matmul_mod(rows, winner, params.q) == 0).sum())
             state = FilterState(params, FieldVector.from_array(field, winner))
             return state, BuildReport(
                 satisfied, tried, params.bits_payload, satisfied >= threshold
@@ -350,7 +334,7 @@ def query_many(state: FilterState, elements: Sequence[bytes]) -> np.ndarray:
     for lo in range(0, len(elements), _BATCH):
         chunk = elements[lo : lo + _BATCH]
         rows = _hash_rows(params, chunk)
-        out[lo : lo + len(chunk)] = _dot_many(rows, y, params.q) == 0
+        out[lo : lo + len(chunk)] = matmul_mod(rows, y, params.q) == 0
     return out
 
 
@@ -400,11 +384,19 @@ def deserialize(data: bytes) -> FilterState:
             m=m,
             t_n=float(n) ** (2.0 / 3.0),
             seed=seed,
-            search_budget=min(q**m - 1, 10**7) if q > 1 else 1,
+            search_budget=_default_search_budget(q, m) if q > 1 else 1,
         )
     except DomainError as exc:
         raise FileFormatError(f"inconsistent header: {exc}") from exc
     payload = data[_HEADER.size :]
+    # Refuse a payload of the wrong rough size before q**m is computed: the
+    # header alone could otherwise ask for a 2**32-digit power.  The float
+    # estimate of ceil(bits_payload / 8) is off by at most one byte.
+    approx = math.ceil(m * math.log2(q) / 8)
+    if abs(len(payload) - approx) > 1:
+        raise FileFormatError(
+            f"payload is {len(payload)} bytes, expected about {approx}"
+        )
     if len(payload) != params.payload_bytes:
         raise FileFormatError(
             f"payload is {len(payload)} bytes, expected {params.payload_bytes}"

@@ -5,6 +5,10 @@ whether hashed element rows lie in its kernel.  This module provides:
 
 * ``PrimeField`` / ``FieldVector`` -- validated value types;
 * exact field arithmetic (``inv``, ``dot``) on Python integers;
+* ``matmul_mod`` -- ``a @ b mod q`` on int64 arrays, exact for every prime
+  q < 2**32 and every inner length m < 2**31: one int64 matmul while
+  m*(q-1)**2 < 2**63, otherwise base-2**w digits of ``b`` recombined by
+  Horner's rule mod q (the delayed reduction of FFLAS-FFPACK);
 * ``nullspace_of_matrix`` / ``nullspace_vector`` -- a deterministic kernel
   vector in the reduced-row-echelon convention (lowest-index free variable
   set to 1, all other free variables 0), with a bit-packed fast path for
@@ -31,6 +35,7 @@ __all__ = [
     "is_prime",
     "inv",
     "dot",
+    "matmul_mod",
     "nullspace_vector",
     "nullspace_of_matrix",
     "WordStream",
@@ -130,6 +135,30 @@ def dot(x: FieldVector, y: FieldVector) -> int:
     return sum(a * b for a, b in zip(x.coords, y.coords)) % x.field.q
 
 
+def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+    """``a @ b mod q`` for entries in [0, q); ``b`` is a vector or a matrix.
+
+    Exact for every prime q < 2**32 and every inner length m < 2**31.  When
+    m*(q-1)**2 < 2**63 a single int64 matmul cannot overflow.  Otherwise
+    ``b`` is split into base-2**w digits, with w the widest width such that
+    m*(q-1)*(2**w-1) < 2**63, and the per-digit products are combined by
+    Horner's rule mod q.  Every such w is at most 31, so a partial result
+    below q < 2**32 shifted left by w still fits in int64.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    span = a.shape[-1] * (q - 1)
+    if span * (q - 1) < 1 << 63:
+        return (a @ b) % q
+    w = (((1 << 63) - 1) // span + 1).bit_length() - 1
+    mask = (1 << w) - 1
+    digits = -(-(q - 1).bit_length() // w)
+    acc = 0
+    for shift in range(w * (digits - 1), -1, -w):
+        acc = ((acc << w) % q + (a @ ((b >> shift) & mask)) % q) % q
+    return acc
+
+
 def _nullspace_general(mat: np.ndarray, q: int) -> np.ndarray | None:
     """Kernel vector over GF(q) by forward elimination + back-substitution.
 
@@ -173,18 +202,17 @@ def _nullspace_general(mat: np.ndarray, q: int) -> np.ndarray | None:
 
 
 def _nullspace_gf2(mat: np.ndarray, m: int) -> np.ndarray | None:
-    """GF(2) kernel vector with rows packed 64 columns per uint64 word."""
+    """GF(2) kernel vector with rows packed 64 columns per uint64 word.
+
+    Only the low bit of each entry is read, and the one full-size
+    intermediate is a uint8 bit array, so ``mat`` is never copied.
+    """
     k = mat.shape[0]
     words = (m + 63) // 64
-    packed = np.zeros((k, words), dtype=np.uint64)
-    if k:
-        bits = (np.asarray(mat, dtype=np.uint64) & np.uint64(1)).astype(np.uint64)
-        for w in range(words):
-            lo, hi = 64 * w, min(64 * w + 64, m)
-            shifts = np.arange(0, hi - lo, dtype=np.uint64)
-            packed[:, w] = (bits[:, lo:hi] << shifts[None, :]).sum(
-                axis=1, dtype=np.uint64
-            )
+    bits = np.zeros((k, 64 * words), dtype=np.uint8)
+    np.bitwise_and(mat, 1, out=bits[:, :m], casting="unsafe")
+    packed = np.packbits(bits, axis=1, bitorder="little").view("<u8")
+    del bits
     pivot_rows: list[tuple[int, int]] = []
     row = 0
     for col in range(m):
@@ -217,10 +245,8 @@ def _nullspace_gf2(mat: np.ndarray, m: int) -> np.ndarray | None:
         # is still clear, so this parity covers exactly the columns after c.
         if bin(row_ints[r] & y_int).count("1") & 1:
             y_int |= 1 << c
-    y = np.zeros(m, dtype=np.int64)
-    for c in range(m):
-        y[c] = (y_int >> c) & 1
-    return y
+    y_bytes = np.frombuffer(y_int.to_bytes(8 * words, "little"), dtype=np.uint8)
+    return np.unpackbits(y_bytes, count=m, bitorder="little").astype(np.int64)
 
 
 def nullspace_of_matrix(mat: np.ndarray, q: int) -> np.ndarray | None:
@@ -238,7 +264,7 @@ def nullspace_of_matrix(mat: np.ndarray, q: int) -> np.ndarray | None:
     if m < 1:
         raise FieldError("matrix needs at least one column")
     if q == 2:
-        return _nullspace_gf2(mat % 2, m)
+        return _nullspace_gf2(mat, m)
     return _nullspace_general(mat, q)
 
 

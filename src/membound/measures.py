@@ -32,6 +32,7 @@ __all__ = [
     "chi_squared",
     "binary_entropy",
     "f_p",
+    "f_p_masses",
     "f_p_derivative",
     "binarize",
     "wasserstein1",
@@ -253,8 +254,11 @@ def f_p(p: float, mu_K: DiscreteDistribution, mu_N: DiscreteDistribution) -> flo
     """
     _check_density(p)
     grid = _merged_grid(mu_K, mu_N)
-    a = _mass_on(mu_K, grid)
-    b = _mass_on(mu_N, grid)
+    return f_p_masses(p, _mass_on(mu_K, grid), _mass_on(mu_N, grid))
+
+
+def f_p_masses(p: float, a: np.ndarray, b: np.ndarray) -> float:
+    """``f_p`` of two mass vectors aligned on a common grid of locations."""
     mix = p * a + (1.0 - p) * b
     return _kl_vectors(a, mix) + (1.0 - p) / p * _kl_vectors(b, mix)
 

@@ -31,6 +31,7 @@ from .measures import (
     DiscreteDistribution,
     MERGE_TOL,
     chi_squared,
+    f_p_masses,
     kl_divergence,
 )
 
@@ -622,28 +623,8 @@ def _build_grid(
     return grid[keep]
 
 
-def _pair_f_p(p: float, grid, idxK, mK, idxN, mN) -> float:
-    """f_p of two mass vectors given by (grid index, mass) atom lists."""
-    uniq = np.unique(np.concatenate([idxK, idxN]))
-    pos = {int(g): i for i, g in enumerate(uniq)}
-    a = np.zeros(uniq.size)
-    b = np.zeros(uniq.size)
-    for g, w in zip(idxK, mK):
-        a[pos[int(g)]] += w
-    for g, w in zip(idxN, mN):
-        b[pos[int(g)]] += w
-    mix = p * a + (1.0 - p) * b
-
-    def kl(v):
-        mask = v > 0.0
-        return float(np.sum(v[mask] * (np.log2(v[mask]) - np.log2(mix[mask]))))
-
-    return kl(a) + (1.0 - p) / p * kl(b)
-
-
 def _prune_support(
     p: float,
-    grid: np.ndarray,
     dK: np.ndarray,
     dN: np.ndarray,
     sol: _InnerSolution,
@@ -660,9 +641,7 @@ def _prune_support(
 
     current = sol
     while live(current).size > cfg.prune_atoms:
-        base = _pair_f_p(
-            p, grid, current.idx, current.mK, current.idx, current.mN
-        )
+        base = f_p_masses(p, current.mK, current.mN)
         candidates = live(current)
         order = np.argsort(current.mK[candidates] + current.mN[candidates])
         pruned = None
@@ -683,7 +662,7 @@ def _prune_support(
             )
             if trial.E_K > eps_K + cfg.residual_tol or trial.E_N > eps_N + cfg.residual_tol:
                 continue
-            alt = _pair_f_p(p, grid, trial.idx, trial.mK, trial.idx, trial.mN)
+            alt = f_p_masses(p, trial.mK, trial.mN)
             if abs(alt - base) < cfg.prune_tol:
                 pruned = trial
                 break
@@ -761,8 +740,8 @@ def solve_rp(
     lamK, sol, okK = _bisect_dual(outer_eval, eps_K, "K", cfg, dK, dN)
     lamN, okN = inner_dual["lam"], inner_dual["ok"]
     converged = okK and okN
-    sol = _prune_support(p, grid, dK, dN, sol, eps_K, eps_N, cfg)
-    rate = _pair_f_p(p, grid, sol.idx, sol.mK, sol.idx, sol.mN)
+    sol = _prune_support(p, dK, dN, sol, eps_K, eps_N, cfg)
+    rate = f_p_masses(p, sol.mK, sol.mN)
     mu_K = _distribution_from(grid, sol.idx, sol.mK)
     mu_N = _distribution_from(grid, sol.idx, sol.mN)
     return FrontierPoint(

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +28,8 @@ from membound import (
     read_keys,
     serialize,
 )
-from membound.filter import _HEADER, wilson_interval
+from membound.filter import _HEADER, _hash_rows, wilson_interval
+from membound.galois import dot
 
 KEYS12 = [f"key-{i:02d}".encode() for i in range(12)]
 
@@ -237,6 +239,21 @@ class TestQuery:
                         y = (1,) + y[1:]
                     assert self._accept_count(q, y) == q ** (m - 1)
 
+    def test_wide_field_query_matches_scalar_dot(self):
+        # q*q overflows int64 here, so query_many needs the digit-split product.
+        q = 4294967291
+        params = derive_params(20, 0, 1.0 / q, 9)
+        keys = [b"wide-%d" % i for i in range(20)]
+        state, report = build(params, keys)
+        assert report.success and report.satisfied_keys == 20
+        nonkeys = [b"other-%d" % i for i in range(200)]
+        answers = query_many(state, keys + nonkeys)
+        field = PrimeField(q)
+        rows = _hash_rows(params, keys + nonkeys)
+        expected = [int(dot(FieldVector.from_array(field, r), state.y) == 0) for r in rows]
+        assert answers.tolist() == expected
+        assert answers[:20].all()
+
     @staticmethod
     def _accept_count(q, y):
         m = len(y)
@@ -335,6 +352,15 @@ class TestSerialization:
         header = _HEADER.pack(b"MF", 1, 2, 3, 0, 0, 1, 0)
         with pytest.raises(FileFormatError):
             deserialize(header + b"\x00")
+
+    def test_header_sized_payload_refused_before_work(self):
+        # A consistent header for a 4e6-key q=3 filter with no payload: the
+        # refusal must not compute 3**4015899.
+        header = _HEADER.pack(b"MF", 1, 3, 4015899, 4 * 10**6, 0, 1, 0)
+        start = time.perf_counter()
+        with pytest.raises(FileFormatError):
+            deserialize(header)
+        assert time.perf_counter() - start < 0.05
 
     def test_payload_value_above_capacity(self):
         # q=3, m=1: payload byte must encode a value < 3.

@@ -1,6 +1,7 @@
 """Tests for prime-field arithmetic, kernel solving, and keyed word streams."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from membound.galois import (
     _rejection_threshold,
     dot,
     inv,
+    matmul_mod,
     nullspace_of_matrix,
     sample_field_elements,
 )
@@ -243,6 +245,43 @@ class TestNullspace:
                 assert (fast is None) == (slow is None)
                 if fast is not None:
                     assert np.array_equal(fast, slow)
+        # k >= m: full rank (None) for most draws, a kernel otherwise.
+        for m in (1, 3, 63, 64, 65, 100):
+            for k in (m, m + 1, m + 7):
+                mat = rng.integers(0, 2, size=(k, m)).astype(np.int64)
+                fast = nullspace_of_matrix(mat, 2)
+                slow = _nullspace_general(mat, 2)
+                assert (fast is None) == (slow is None)
+                if fast is not None:
+                    assert np.array_equal(fast, slow)
+
+    def test_gf2_elimination_does_not_copy_the_matrix(self):
+        mat = np.random.default_rng(19).integers(0, 2, size=(1000, 1100), dtype=np.int64)
+        tracemalloc.start()
+        try:
+            y = nullspace_of_matrix(mat, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert y is not None and not (mat @ y % 2).any()
+        assert peak < mat.nbytes / 2
+
+
+class TestMatmulMod:
+    @pytest.mark.parametrize("q", [2, 3, 65537, 4294967291])
+    @pytest.mark.parametrize("m", [1, 81, 5000])
+    def test_matches_python_int_reference(self, q, m):
+        rng = np.random.default_rng(q % 1000 + m)
+        rows = rng.integers(0, q, size=(6, m), dtype=np.int64)
+        rows[0] = q - 1
+        y = rng.integers(0, q, size=m, dtype=np.int64)
+        candidates = rng.integers(0, q, size=(5, m), dtype=np.int64)
+        candidates[0] = q - 1
+        for b in (y, candidates.T):
+            got = matmul_mod(rows, b, q)
+            want = (rows.astype(object) @ b.astype(object)) % q
+            assert got.dtype == np.int64
+            assert got.tolist() == want.tolist()
 
 
 class TestWordStream:
