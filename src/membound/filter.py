@@ -24,6 +24,7 @@ import math
 import random
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -153,10 +154,19 @@ class FilterParams:
                 f"search budget {self.search_budget!r} must be a positive integer"
             )
 
+    @cached_property
+    def capacity(self) -> int:
+        """``q**m``, the number of vectors in GF(q)^m, computed once.
+
+        Cached outside the dataclass fields, so equality, hashing and the
+        serialized header are unchanged.
+        """
+        return self.q**self.m
+
     @property
     def bits_payload(self) -> int:
         """Exact payload width: the number of bits in q**m - 1."""
-        return (self.q**self.m - 1).bit_length()
+        return (self.capacity - 1).bit_length()
 
     @property
     def payload_bytes(self) -> int:
@@ -335,6 +345,7 @@ def query_many(state: FilterState, elements: Sequence[bytes]) -> np.ndarray:
         chunk = elements[lo : lo + _BATCH]
         rows = _hash_rows(params, chunk)
         out[lo : lo + len(chunk)] = matmul_mod(rows, y, params.q) == 0
+        del rows  # free this batch before the next one is hashed
     return out
 
 
@@ -402,7 +413,7 @@ def deserialize(data: bytes) -> FilterState:
             f"payload is {len(payload)} bytes, expected {params.payload_bytes}"
         )
     value = int.from_bytes(payload, "little")
-    if value >= q**m:
+    if value >= params.capacity:
         raise FileFormatError("payload exceeds the base-q capacity of y")
     coords = []
     for _ in range(m):

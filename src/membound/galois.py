@@ -6,13 +6,16 @@ whether hashed element rows lie in its kernel.  This module provides:
 * ``PrimeField`` / ``FieldVector`` -- validated value types;
 * exact field arithmetic (``inv``, ``dot``) on Python integers;
 * ``matmul_mod`` -- ``a @ b mod q`` on int64 arrays, exact for every prime
-  q < 2**32 and every inner length m < 2**31: one int64 matmul while
+  q < 2**32 and every inner length m < 2**31: one float64 BLAS matmul for a
+  matrix ``b`` while m*(q-1)**2 < 2**53, one int64 matmul while
   m*(q-1)**2 < 2**63, otherwise base-2**w digits of ``b`` recombined by
   Horner's rule mod q (the delayed reduction of FFLAS-FFPACK);
 * ``nullspace_of_matrix`` / ``nullspace_vector`` -- a deterministic kernel
   vector in the reduced-row-echelon convention (lowest-index free variable
-  set to 1, all other free variables 0), with a bit-packed fast path for
-  GF(2);
+  set to 1, all other free variables 0).  GF(2) takes a bit-packed path;
+  every other field a blocked Gauss-Jordan that factors panels of
+  ``_PANEL`` columns, updates the rows above and below with one
+  ``matmul_mod`` product per panel, and stops at the first free column;
 * ``WordStream`` -- a pure, keyed 64-bit word source (blake2b absorption +
   splitmix64 counter expansion) and rejection sampling of field elements,
   so every hash row is reproducible from (seed, element bytes) alone.
@@ -139,15 +142,21 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     """``a @ b mod q`` for entries in [0, q); ``b`` is a vector or a matrix.
 
     Exact for every prime q < 2**32 and every inner length m < 2**31.  When
-    m*(q-1)**2 < 2**63 a single int64 matmul cannot overflow.  Otherwise
-    ``b`` is split into base-2**w digits, with w the widest width such that
-    m*(q-1)*(2**w-1) < 2**63, and the per-digit products are combined by
-    Horner's rule mod q.  Every such w is at most 31, so a partial result
-    below q < 2**32 shifted left by w still fits in int64.
+    ``b`` is a matrix and m*(q-1)**2 < 2**53, one float64 BLAS matmul holds
+    every partial sum exactly.  Otherwise, while m*(q-1)**2 < 2**63, a single
+    int64 matmul cannot overflow; a matrix-vector product stays in int64,
+    where BLAS gains little and the float copy of ``a`` would double its
+    memory.  Beyond that ``b`` is split into base-2**w digits, with w the
+    widest width such that m*(q-1)*(2**w-1) < 2**63, and the per-digit
+    products are combined by Horner's rule mod q.  Every such w is at most
+    31, so a partial result below q < 2**32 shifted left by w still fits in
+    int64.
     """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     span = a.shape[-1] * (q - 1)
+    if b.ndim == 2 and span * (q - 1) < 1 << 53:
+        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % q
     if span * (q - 1) < 1 << 63:
         return (a @ b) % q
     w = (((1 << 63) - 1) // span + 1).bit_length() - 1
@@ -159,46 +168,94 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     return acc
 
 
-def _nullspace_general(mat: np.ndarray, q: int) -> np.ndarray | None:
-    """Kernel vector over GF(q) by forward elimination + back-substitution.
+# Columns per panel of the blocked GF(q) elimination: wide enough that the
+# block products dominate, narrow enough that the per-column panel loop,
+# which touches every remaining row for each column, stays cheap.
+_PANEL = 64
 
-    Arithmetic stays in uint64: every intermediate is < 2**33 for q < 2**32
-    because products are reduced mod q before they are combined.
+
+def _gauss_jordan(
+    x: np.ndarray, q: int, ncols: int
+) -> tuple[int, list[tuple[int, int]]]:
+    """Reduce the leading ``ncols`` columns of uint64 ``x`` in place over GF(q).
+
+    Columns are taken left to right and the first one without a pivot ends
+    the loop.  Returns the pivot count r (rows 0..r-1 of ``x`` then carry the
+    identity on columns 0..r-1) and the row swaps made, in order.  Products
+    are reduced mod q before they are combined, so every intermediate stays
+    below 2**64 for q < 2**32.
     """
-    a = (np.asarray(mat, dtype=np.uint64) % np.uint64(q)).copy()
-    k, m = a.shape
     qq = np.uint64(q)
-    pivot_rows: list[tuple[int, int]] = []  # (row, pivot column)
-    row = 0
-    for col in range(m):
-        if row == k:
-            break
-        nz = np.nonzero(a[row:, col])[0]
+    swaps: list[tuple[int, int]] = []
+    r = 0
+    for c in range(ncols):
+        nz = np.flatnonzero(x[r:, c])
         if nz.size == 0:
-            continue
-        pr = row + int(nz[0])
-        if pr != row:
-            a[[row, pr]] = a[[pr, row]]
-        piv_inv = np.uint64(pow(int(a[row, col]), -1, q))
-        a[row] = a[row] * piv_inv % qq
-        below = a[row + 1 :]
-        factors = below[:, col]
-        hit = factors != 0
-        if hit.any():
-            t = factors[hit, None] * a[row][None, :] % qq
-            below[hit] = (below[hit] + (qq - t)) % qq
-        pivot_rows.append((row, col))
-        row += 1
-    pivot_cols = {c for _, c in pivot_rows}
-    free = next((c for c in range(m) if c not in pivot_cols), None)
-    if free is None:
-        return None
-    y = np.zeros(m, dtype=np.uint64)
-    y[free] = 1
-    for r, c in reversed(pivot_rows):
-        s = int((a[r] * y % qq).sum() % qq)
-        y[c] = (q - s) % q
-    return y.astype(np.int64)
+            break
+        pr = r + int(nz[0])
+        if pr != r:
+            x[[r, pr]] = x[[pr, r]]
+            swaps.append((r, pr))
+        # Row r is zero before column c, so only columns c.. change.
+        x[r, c:] = x[r, c:] * np.uint64(pow(int(x[r, c]), -1, q)) % qq
+        factors = x[:, c].copy()
+        factors[r] = 0
+        hit = np.flatnonzero(factors)
+        if hit.size:
+            t = factors[hit, None] * x[r, c:] % qq
+            x[hit, c:] = (x[hit, c:] + (qq - t)) % qq
+        r += 1
+    return r, swaps
+
+
+def _nullspace_general(mat: np.ndarray, q: int) -> np.ndarray | None:
+    """Kernel vector over GF(q) by right-looking blocked Gauss-Jordan.
+
+    The columns are taken in panels of ``_PANEL``.  Each panel's pivots are
+    found by ``_gauss_jordan`` on a copy of the panel's own columns.  With B
+    the r x r block of the new pivot rows on the pivot columns, the pivot
+    rows' trailing part A1 becomes ``B^-1 A1`` and every other row loses
+    ``L`` times that, where ``L`` is its part of the pivot columns.  Each of
+    the two block updates is one ``matmul_mod`` product.  As in FFLAS-FFPACK
+    (Dumas, Giorgi and Pernet, ACM TOMS 2008) the reduction mod q is
+    delayed: an update adds less than q to an entry, so the columns ahead of
+    the current panel are reduced only when a panel reaches them, and they
+    stay below q*(1 + m) < 2**63 until then.
+
+    Every column before the first free column f is a pivot, so the kernel
+    vector of the reduced-row-echelon convention is supported on columns
+    0..f and read off column f: the elimination stops there.
+    """
+    a = np.asarray(mat, dtype=np.int64) % q
+    k, m = a.shape
+    for j0 in range(0, m, _PANEL):
+        block = a[:, j0 : j0 + _PANEL]
+        block %= q
+        panel = block[j0:].astype(np.uint64)
+        r, swaps = _gauss_jordan(panel, q, panel.shape[1])
+        for s, t in swaps:
+            a[[j0 + s, j0 + t], j0:] = a[[j0 + t, j0 + s], j0:]
+        j1 = j0 + r
+        if j1 == m:
+            return None
+        full = r == panel.shape[1]
+        # Every column after the panel, or only the free column j1.
+        cols = slice(j1, None if full else j1 + 1)
+        pivots = slice(j0, j1)
+        inverse = np.concatenate(
+            [a[pivots, pivots].astype(np.uint64), np.eye(r, dtype=np.uint64)], axis=1
+        )
+        _gauss_jordan(inverse, q, r)
+        a[pivots, cols] %= q
+        top = matmul_mod(inverse[:, r:], a[pivots, cols], q)
+        a[:, cols] += matmul_mod(-a[:, pivots] % q, top, q)
+        a[pivots, cols] = top
+        if not full:
+            break
+    y = np.zeros(m, dtype=np.int64)
+    y[:j1] = -a[:j1, j1] % q
+    y[j1] = 1
+    return y
 
 
 def _nullspace_gf2(mat: np.ndarray, m: int) -> np.ndarray | None:

@@ -5,6 +5,7 @@ import functools
 import itertools
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +29,7 @@ from membound import (
     read_keys,
     serialize,
 )
-from membound.filter import _HEADER, _hash_rows, wilson_interval
+from membound.filter import _BATCH, _HEADER, _hash_rows, wilson_interval
 from membound.galois import dot
 
 KEYS12 = [f"key-{i:02d}".encode() for i in range(12)]
@@ -139,6 +140,16 @@ class TestFilterParams:
         assert params.threshold == 0
         assert params.bits_payload == 3
 
+    def test_capacity_cached_outside_the_fields(self):
+        params = derive_params(1000, 0, 1.0 / 3.0, 0)
+        capacity = params.capacity
+        assert capacity == 3**params.m
+        assert params.capacity is capacity  # computed once, then reused
+        assert params.bits_payload == (3**params.m - 1).bit_length()
+        assert "capacity" not in {f.name for f in dataclasses.fields(params)}
+        fresh = derive_params(1000, 0, 1.0 / 3.0, 0)
+        assert fresh == params and hash(fresh) == hash(params)
+
     def test_thresholds(self):
         assert derive_params(12, Fraction(1, 4), 0.5, 0).threshold == 9
         assert derive_params(10, 0, 0.5, 0).threshold == 10
@@ -226,6 +237,20 @@ class TestQuery:
         elements = KEYS12 + [b"stranger-%d" % i for i in range(20)]
         batched = query_many(state, elements)
         assert batched.tolist() == [query(state, e) for e in elements]
+
+    def test_query_many_frees_each_batch(self):
+        params = derive_params(100, 0, 0.5, 5)
+        state, _ = build(params, [b"batch-key-%d" % i for i in range(100)])
+        elements = [b"batch-query-%d" % i for i in range(2 * _BATCH)]
+        batch_rows = _BATCH * params.m * 8  # one batch of int64 hash rows
+        tracemalloc.start()
+        try:
+            answers = query_many(state, elements)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert answers.shape == (2 * _BATCH,)
+        assert peak < 1.5 * batch_rows
 
     def test_hyperplane_accepts_exactly_one_in_q(self):
         # y = (1, 0, 1) over GF(2): rows with row[0] = row[2] pass -> 4 of 8.

@@ -1,6 +1,7 @@
 """Tests for prime-field arithmetic, kernel solving, and keyed word streams."""
 
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,7 @@ from membound import (
     sample_field_element,
 )
 from membound.galois import (
+    _PANEL,
     _rejection_threshold,
     dot,
     inv,
@@ -267,6 +269,107 @@ class TestNullspace:
         assert peak < mat.nbytes / 2
 
 
+def _reference_kernel(rows: list[list[int]], m: int, q: int) -> list[int] | None:
+    """Kernel vector in the reduced-row-echelon convention, in Python ints.
+
+    Full Gauss-Jordan over all ``m`` columns; then the lowest-index free
+    column is set to 1, every other free column to 0, and each pivot
+    variable to minus its row's entry in that free column.  None when every
+    column has a pivot.
+    """
+    work = [[v % q for v in row] for row in rows]
+    pivots: list[int] = []
+    for c in range(m):
+        r = len(pivots)
+        src = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if src is None:
+            continue
+        work[r], work[src] = work[src], work[r]
+        scale = pow(work[r][c], -1, q)
+        work[r] = [v * scale % q for v in work[r]]
+        for i, row in enumerate(work):
+            if i != r and row[c]:
+                f = row[c]
+                work[i] = [(v - f * w) % q for v, w in zip(row, work[r])]
+        pivots.append(c)
+    free = next((c for c in range(m) if c not in pivots), None)
+    if free is None:
+        return None
+    y = [0] * m
+    y[free] = 1
+    for i, c in enumerate(pivots):
+        y[c] = -work[i][free] % q
+    return y
+
+
+def _random_rows(rng: random.Random, k: int, m: int, q: int) -> list[list[int]]:
+    return [[rng.randrange(q) for _ in range(m)] for _ in range(k)]
+
+
+def _check_against_reference(rows: list[list[int]], m: int, q: int) -> list[int] | None:
+    want = _reference_kernel(rows, m, q)
+    if want is not None:
+        assert all(sum(a * b for a, b in zip(row, want)) % q == 0 for row in rows)
+    mat = np.array(rows, dtype=np.int64).reshape(len(rows), m)
+    got = nullspace_of_matrix(mat, q)
+    assert (None if got is None else got.tolist()) == want
+    return want
+
+
+_WIDE_PRIMES = [3, 5, 7, 4294967291]
+_PANEL_EDGES = [_PANEL - 1, _PANEL, _PANEL + 1, 2 * _PANEL + 1]
+
+
+class TestBlockedEliminationAgainstReference:
+    """The blocked GF(q) elimination against a plain-int Gauss-Jordan."""
+
+    @pytest.mark.parametrize("q", _WIDE_PRIMES)
+    @pytest.mark.parametrize("m", _PANEL_EDGES)
+    def test_random_and_rank_deficient(self, q, m):
+        rng = random.Random(q % 1000 + m)
+        # Underdetermined: a kernel always exists.
+        _check_against_reference(_random_rows(rng, m - 2, m, q), m, q)
+        # Duplicated rows and a zero column, with more rows than columns.
+        rows = _random_rows(rng, m + 3, m, q)
+        rows[1] = list(rows[0])
+        rows[5] = list(rows[2])
+        zero = m // 2
+        for row in rows:
+            row[zero] = 0
+        assert _check_against_reference(rows, m, q) is not None
+        # Rank m // 3: a product of random m+1 x r and r x m factors.
+        rank = m // 3
+        left = _random_rows(rng, m + 1, rank, q)
+        right = _random_rows(rng, rank, m, q)
+        rows = [
+            [sum(a * right[t][j] for t, a in enumerate(lrow)) % q for j in range(m)]
+            for lrow in left
+        ]
+        assert _check_against_reference(rows, m, q) is not None
+        # k >= m random rows: full rank, so no kernel vector.
+        assert _check_against_reference(_random_rows(rng, m + 2, m, q), m, q) is None
+
+    @pytest.mark.parametrize("q", _WIDE_PRIMES)
+    @pytest.mark.parametrize("boundary", [_PANEL, 2 * _PANEL])
+    def test_first_free_column_on_a_panel_boundary(self, q, boundary):
+        rng = random.Random(q % 1000 + boundary)
+        m = 2 * _PANEL + 1
+        # Extra rows keep columns 0..boundary-1 independent, so the first
+        # free column is the planted one.
+        rows = _random_rows(rng, m + 16, m, q)
+        coeffs = [rng.randrange(q) for _ in range(boundary)]
+        for row in rows:
+            row[boundary] = sum(c * v for c, v in zip(coeffs, row)) % q
+        y = _check_against_reference(rows, m, q)
+        assert y[boundary] == 1 and not any(y[boundary + 1 :])
+
+    @pytest.mark.parametrize("q", _WIDE_PRIMES)
+    def test_no_rows_gives_first_basis_vector(self, q):
+        for m in _PANEL_EDGES:
+            y = _check_against_reference([], m, q)
+            assert y == [1] + [0] * (m - 1)
+
+
 class TestMatmulMod:
     @pytest.mark.parametrize("q", [2, 3, 65537, 4294967291])
     @pytest.mark.parametrize("m", [1, 81, 5000])
@@ -282,6 +385,25 @@ class TestMatmulMod:
             want = (rows.astype(object) @ b.astype(object)) % q
             assert got.dtype == np.int64
             assert got.tolist() == want.tolist()
+
+    def test_float_product_exact_at_its_bound(self):
+        # The largest prime q with 81*(q-1)**2 < 2**53: a matrix product of
+        # inner length 81 runs in float64, one of length 82 in int64.  The
+        # first entry's sum is odd; at length 82 it passes 2**53, where
+        # float64 would round it to an even number.
+        q = math.isqrt((1 << 53) // 81) + 1
+        while not is_prime(q) or 81 * (q - 1) ** 2 >= 1 << 53:
+            q -= 1
+        odd_sum = 81 * (q - 1) ** 2 + (q - 2) ** 2
+        assert odd_sum % 2 == 1 and odd_sum >= 1 << 53
+        rng = np.random.default_rng(53)
+        for m in (81, 82):
+            a = rng.integers(0, q, size=(4, m), dtype=np.int64)
+            b = rng.integers(0, q, size=(m, 3), dtype=np.int64)
+            a[0] = b[:, 0] = q - 1
+            a[0, -1] = b[-1, 0] = q - 2
+            want = (a.astype(object) @ b.astype(object)) % q
+            assert matmul_mod(a, b, q).tolist() == want.tolist()
 
 
 class TestWordStream:
