@@ -384,7 +384,8 @@ def deserialize(data: bytes) -> FilterState:
         raise FileFormatError(f"bad magic {magic!r}")
     if version != _VERSION:
         raise FileFormatError(f"unsupported version {version}")
-    if eps_den == 0 or eps_num >= eps_den:
+    # Lowest terms only, as serialize writes them; eps_den == 0 fails the first test.
+    if eps_num >= eps_den or math.gcd(eps_num, eps_den) != 1:
         raise FileFormatError(f"invalid eps_K rational {eps_num}/{eps_den}")
     try:
         params = FilterParams(

@@ -4,7 +4,8 @@ The filter stores one linear functional over GF(q) (q prime) and tests
 whether hashed element rows lie in its kernel.  This module provides:
 
 * ``PrimeField`` / ``FieldVector`` -- validated value types;
-* exact field arithmetic (``inv``, ``dot``) on Python integers;
+* exact field arithmetic: ``inv`` on Python integers, and ``dot``, a
+  one-line wrapper over ``matmul_mod``;
 * ``matmul_mod`` -- ``a @ b mod q`` on int64 arrays, exact for every prime
   q < 2**32 and every inner length m < 2**31: one float64 BLAS matmul for a
   matrix ``b`` while m*(q-1)**2 < 2**53, one int64 matmul while
@@ -18,13 +19,15 @@ whether hashed element rows lie in its kernel.  This module provides:
   ``matmul_mod`` product per panel, and stops at the first free column;
 * ``WordStream`` -- a pure, keyed 64-bit word source (blake2b absorption +
   splitmix64 counter expansion) and rejection sampling of field elements,
-  so every hash row is reproducible from (seed, element bytes) alone.
+  both over arrays of draws (the one-draw calls wrap them), so every hash
+  row is reproducible from (seed, element bytes) alone.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -46,7 +49,6 @@ __all__ = [
     "sample_field_elements",
 ]
 
-_MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
@@ -135,7 +137,7 @@ def dot(x: FieldVector, y: FieldVector) -> int:
         raise FieldError(f"mixed fields GF({x.field.q}) and GF({y.field.q})")
     if len(x) != len(y):
         raise FieldError(f"length mismatch: {len(x)} vs {len(y)}")
-    return sum(a * b for a, b in zip(x.coords, y.coords)) % x.field.q
+    return int(matmul_mod(x.as_array(), y.as_array(), x.field.q))
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
@@ -349,19 +351,6 @@ def nullspace_vector(
     return None if y is None else FieldVector.from_array(field, y)
 
 
-def _splitmix64_int(z: int) -> int:
-    z &= _MASK64
-    z = (z ^ (z >> 30)) * _MIX1 & _MASK64
-    z = (z ^ (z >> 27)) * _MIX2 & _MASK64
-    return z ^ (z >> 31)
-
-
-def _splitmix64_array(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
-
-
 @dataclass(frozen=True)
 class WordStream:
     """A pure stream of 64-bit words keyed by ``(seed, label)``.
@@ -370,7 +359,8 @@ class WordStream:
     namespace) is absorbed into a 64-bit base with keyed blake2b; individual
     words are then expanded with a splitmix64 counter mix, so any word is
     addressable directly: ``word(i, a)`` is rejection attempt ``a`` of draw
-    ``i``.  Equal inputs always produce equal words, on every platform.
+    ``i``, for i < 2**56 and a < 256.  Equal inputs always produce equal
+    words, on every platform.
     """
 
     seed: int
@@ -386,20 +376,29 @@ class WordStream:
         object.__setattr__(self, "_base", int.from_bytes(digest, "little"))
 
     def word(self, index: int, attempt: int = 0) -> int:
-        if not (0 <= index < 1 << 56):
-            raise DomainError(f"draw index {index!r} out of range")
-        if not (0 <= attempt < 256):
-            raise DomainError(f"attempt {attempt!r} out of range")
-        ctr = (index << 8) | attempt
-        return _splitmix64_int(self._base + _GOLDEN * (ctr + 1))
+        return int(self.word_block(index, 1, attempt)[0])
 
     def words_at(self, indices: np.ndarray, attempt: int = 0) -> np.ndarray:
-        ctrs = (indices.astype(np.uint64) << np.uint64(8)) | np.uint64(attempt)
-        z = np.uint64(self._base) + np.uint64(_GOLDEN) * (ctrs + np.uint64(1))
-        return _splitmix64_array(z)
+        indices = np.asarray(indices)
+        if indices.size and not (0 <= indices.min() and indices.max() < 1 << 56):
+            raise DomainError("draw indices outside [0, 2**56)")
+        return self._mix(indices.astype(np.uint64), attempt)
 
     def word_block(self, start: int, count: int, attempt: int = 0) -> np.ndarray:
-        return self.words_at(np.arange(start, start + count, dtype=np.uint64), attempt)
+        start, count = operator.index(start), operator.index(count)
+        if not (0 <= start and 0 <= count and start + count <= 1 << 56):
+            raise DomainError(f"draws {start!r}..+{count!r} outside [0, 2**56)")
+        return self._mix(np.arange(start, start + count, dtype=np.uint64), attempt)
+
+    def _mix(self, indices: np.ndarray, attempt: int) -> np.ndarray:
+        """splitmix64 of base + golden * ((index << 8 | attempt) + 1), per index."""
+        if not (0 <= operator.index(attempt) < 256):
+            raise DomainError(f"attempt {attempt!r} out of range")
+        ctrs = (indices << np.uint64(8)) | np.uint64(attempt)
+        z = np.uint64(self._base) + np.uint64(_GOLDEN) * (ctrs + np.uint64(1))
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+        return z ^ (z >> np.uint64(31))
 
 
 def _rejection_threshold(q: int) -> int:
@@ -408,36 +407,31 @@ def _rejection_threshold(q: int) -> int:
 
 
 def sample_field_element(stream: WordStream, field: PrimeField, index: int = 0) -> int:
-    """Uniform element of GF(q) from draw ``index``, by rejection sampling.
-
-    Words >= the largest multiple of q below 2**64 are rejected and redrawn
-    at the next attempt counter, so the result is exactly uniform.
-    """
-    threshold = _rejection_threshold(field.q)
-    for attempt in range(256):
-        w = stream.word(index, attempt)
-        if w < threshold:
-            return w % field.q
-    raise RuntimeError(
-        "rejection sampling did not terminate in 256 attempts"
-    )  # pragma: no cover - probability < 2**-192
+    """Draw ``index`` of ``sample_field_elements``: one uniform element of GF(q)."""
+    return int(sample_field_elements(stream, field, index, 1)[0])
 
 
 def sample_field_elements(
     stream: WordStream, field: PrimeField, start: int, count: int
 ) -> np.ndarray:
-    """Vectorized ``sample_field_element`` for draws start..start+count-1."""
+    """Uniform elements of GF(q) from draws start..start+count-1.
+
+    Draw i takes the word at attempt 0 and, while that word is at or above
+    the largest multiple of q below 2**64, the word at the next attempt, up
+    to attempt 255; so the result is exactly uniform.
+    """
     q = field.q
     words = stream.word_block(start, count)
     if (1 << 64) % q == 0:  # q = 2: every word is accepted
         return (words % np.uint64(q)).astype(np.int64)
     threshold = np.uint64(_rejection_threshold(q))
-    indices = np.arange(start, start + count, dtype=np.uint64)
+    pending = np.flatnonzero(words >= threshold)
     for attempt in range(1, 256):
-        bad = words >= threshold
-        if not bad.any():
+        if pending.size == 0:
             break
-        words[bad] = stream.words_at(indices[bad], attempt)
-    else:  # pragma: no cover
+        redrawn = stream.words_at(pending + start, attempt)
+        words[pending] = redrawn
+        pending = pending[redrawn >= threshold]
+    if pending.size:
         raise RuntimeError("rejection sampling did not terminate in 256 attempts")
     return (words % np.uint64(q)).astype(np.int64)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -102,20 +102,6 @@ class DiscreteDistribution:
             return cls.delta(1.0)
         return cls(((0.0, 1.0 - b), (1.0, b)))
 
-    @classmethod
-    def from_weights(
-        cls, locations: Sequence[float], weights: Sequence[float]
-    ) -> "DiscreteDistribution":
-        """Normalize non-negative ``weights`` into masses at ``locations``."""
-        w = np.asarray(weights, dtype=float)
-        locs = np.asarray(locations, dtype=float)
-        if w.shape != locs.shape or w.ndim != 1:
-            raise DistributionError("locations and weights must be equal-length 1-D")
-        total = float(w.sum())
-        if not math.isfinite(total) or total <= 0.0:
-            raise DistributionError(f"weights sum to {total!r}, cannot normalize")
-        return cls(tuple(zip(locs.tolist(), (w / total).tolist())))
-
     def locations(self) -> np.ndarray:
         return np.array([x for x, _ in self.atoms], dtype=float)
 
@@ -124,9 +110,6 @@ class DiscreteDistribution:
 
     def mean(self) -> float:
         return float(sum(x * w for x, w in self.atoms))
-
-    def support_size(self) -> int:
-        return len(self.atoms)
 
 
 @dataclass(frozen=True)
@@ -160,9 +143,6 @@ class BinnedHistogram:
 
     def masses_array(self) -> np.ndarray:
         return np.array(self.masses, dtype=float)
-
-    def edges(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.bins + 1)
 
 
 def _merged_grid(*dists: DiscreteDistribution) -> np.ndarray:
@@ -322,16 +302,19 @@ def read_scores(path) -> list[float]:
     raise FileFormatError with the offending line number.
     """
     scores: list[float] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                value = float(line)
-            except ValueError:
-                raise FileFormatError(f"{path}:{lineno}: not a number: {line!r}")
-            if not math.isfinite(value) or not (0.0 <= value <= 1.0):
-                raise FileFormatError(f"{path}:{lineno}: score {value!r} outside [0, 1]")
-            scores.append(value)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, 1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                try:
+                    value = float(line)
+                except ValueError:
+                    raise FileFormatError(f"{path}:{lineno}: not a number: {line!r}")
+                if not math.isfinite(value) or not (0.0 <= value <= 1.0):
+                    raise FileFormatError(f"{path}:{lineno}: score {value!r} outside [0, 1]")
+                scores.append(value)
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: not UTF-8 text: {exc.reason}") from exc
     return scores

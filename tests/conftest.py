@@ -1,8 +1,12 @@
 """Shared test helpers: random distribution pairs and a mutual-information
-reference implementation, used to cross-check the f_p functional."""
+reference implementation, used to cross-check the f_p functional, and a
+plain-int reference of the keyed word stream and its rejection sampling,
+used to check the library's hashing without calling it."""
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import math
 
 import numpy as np
@@ -64,3 +68,41 @@ def direct_f_p(p: float, mu_K: DiscreteDistribution, mu_N: DiscreteDistribution)
             if joint > 0.0:
                 information += joint * math.log2(conditional / marginal)
     return information / p
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def reference_word(seed: int, label: bytes, index: int, attempt: int = 0) -> int:
+    """Word ``(index, attempt)`` of the stream keyed by (seed, label), in plain ints:
+    splitmix64(base + golden * ((index << 8 | attempt) + 1)) mod 2**64, with
+    base the keyed 8-byte blake2b digest of the label."""
+    key = seed.to_bytes(8, "little") + b"membound.v1"
+    digest = hashlib.blake2b(label, digest_size=8, key=key).digest()
+    base = int.from_bytes(digest, "little")
+    z = (base + 0x9E3779B97F4A7C15 * (((index << 8) | attempt) + 1)) & _MASK64
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+    return z ^ (z >> 31)
+
+
+def reference_element(word, q: int, index: int) -> int:
+    """Draw ``index`` in GF(q) by rejection: the first attempt whose word is
+    below the largest multiple of q that fits 64 bits, reduced mod q.
+    ``word(index, attempt)`` supplies the words."""
+    threshold = q * ((1 << 64) // q)
+    for attempt in range(256):
+        w = word(index, attempt)
+        if w < threshold:
+            return w % q
+    raise RuntimeError("no attempt accepted")
+
+
+def reference_row(seed: int, element: bytes, q: int, m: int) -> list[int]:
+    """The filter's hash row of ``element`` (stream label b"E" + element)."""
+    word = functools.partial(reference_word, seed, b"E" + element)
+    return [reference_element(word, q, j) for j in range(m)]
+
+
+def reference_dot(x, y, q: int) -> int:
+    return sum(int(a) * int(b) for a, b in zip(x, y)) % q

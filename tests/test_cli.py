@@ -437,6 +437,15 @@ class TestEstimateKl:
         assert rc == 1
         assert json.loads(err)["error"] == "file-format"
 
+    def test_non_utf8_score_file(self, capsys, tmp_path, score_files):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xb70.5\n")
+        rc, _, err = run(capsys, "estimate-kl", str(bad), str(score_files[1]))
+        assert rc == 1
+        doc = json.loads(err)
+        assert doc["error"] == "file-format"
+        assert str(bad) in doc["message"]
+
     def test_out_of_range_score(self, capsys, tmp_path, score_files):
         bad = tmp_path / "bad.txt"
         bad.write_text("0.5\n1.5\n")

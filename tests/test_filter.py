@@ -2,22 +2,28 @@
 
 import dataclasses
 import functools
+import hashlib
+import importlib.util
 import itertools
 import math
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import reference_dot, reference_row
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import membound.filter as F
 from membound import (
     DomainError,
-    FieldVector,
     FileFormatError,
     FilterParams,
     FilterState,
-    PrimeField,
+    MemboundError,
     TrivialRegimeError,
     build,
     derive_params,
@@ -27,10 +33,10 @@ from membound import (
     query_many,
     random_bytes_sampler,
     read_keys,
+    read_scores,
     serialize,
 )
-from membound.filter import _BATCH, _HEADER, _hash_rows, wilson_interval
-from membound.galois import dot
+from membound.filter import _BATCH, _HEADER, wilson_interval
 
 KEYS12 = [f"key-{i:02d}".encode() for i in range(12)]
 
@@ -273,9 +279,8 @@ class TestQuery:
         assert report.success and report.satisfied_keys == 20
         nonkeys = [b"other-%d" % i for i in range(200)]
         answers = query_many(state, keys + nonkeys)
-        field = PrimeField(q)
-        rows = _hash_rows(params, keys + nonkeys)
-        expected = [int(dot(FieldVector.from_array(field, r), state.y) == 0) for r in rows]
+        rows = [reference_row(9, e, q, params.m) for e in keys + nonkeys]
+        expected = [int(reference_dot(r, state.y.coords, q) == 0) for r in rows]
         assert answers.tolist() == expected
         assert answers[:20].all()
 
@@ -368,6 +373,29 @@ class TestSerialization:
         with pytest.raises(FileFormatError):
             deserialize(_repack(blob, eps_den=0))
 
+    def test_eps_rational_must_be_in_lowest_terms(self, built_12_seed0):
+        # 2/8 equals the stored 1/4, but would re-serialize as 1/4.
+        blob = serialize(built_12_seed0[1])
+        with pytest.raises(FileFormatError):
+            deserialize(_repack(blob, eps_num=2, eps_den=8))
+        empty = _HEADER.pack(b"MF", 1, 2, 1, 0, 0, 1, 0) + b"\x01"
+        assert serialize(deserialize(empty)) == empty
+        with pytest.raises(FileFormatError):
+            deserialize(_repack(empty, eps_den=4))
+
+    def test_bytes_pinned(self):
+        # Digests taken at commit 421f76e, before the scalar hashing and dot
+        # product were folded into the array path.  Equal digests mean equal
+        # hash rows, kernel convention and byte format.
+        pins = {
+            2: "7ffec9d6a8bf3af17cc91e7aa76f5d9c6b0e8855d51f874ccaa7fc2a6150ed1f",
+            3: "b52cce12b6b2eb5b9b36b26a208ddd4b9962fa53602290043ff25fe6b0942d58",
+        }
+        for q, digest in pins.items():
+            params = derive_params(40, 0, 1.0 / q, q)
+            state, _ = build(params, [b"pin-%d" % i for i in range(40)])
+            assert hashlib.sha256(serialize(state)).hexdigest() == digest
+
     def test_composite_q(self, built_12_seed0):
         blob = serialize(built_12_seed0[1])
         with pytest.raises(FileFormatError):
@@ -393,6 +421,122 @@ class TestSerialization:
         assert deserialize(header + b"\x02").y.coords == (2,)
         with pytest.raises(FileFormatError):
             deserialize(header + b"\x03")
+
+
+@functools.cache
+def _valid_blobs() -> tuple[bytes, ...]:
+    blobs = []
+    for q, n, eps_K in ((2, 12, Fraction(1, 4)), (2, 40, 0), (3, 40, 0), (5, 7, 0),
+                        (4294967291, 3, 0)):
+        params = derive_params(n, eps_K, 1.0 / q, n)
+        state, _ = build(params, [b"fuzz-%d" % i for i in range(n)])
+        blobs.append(serialize(state))
+    return tuple(blobs)
+
+
+@st.composite
+def _mutated_blobs(draw) -> bytes:
+    """A valid blob with q, m or n set to an edge value, some bytes
+    overwritten, and possibly truncated."""
+    blob = bytearray(draw(st.sampled_from(_valid_blobs())))
+    fields = list(_HEADER.unpack_from(blob))
+    for i in draw(st.sets(st.sampled_from((2, 3, 4)))):  # q, m, n
+        fields[i] = draw(st.sampled_from((0, 1, 4, 2**32 - 1)))
+    blob[: _HEADER.size] = _HEADER.pack(*fields)
+    for pos, value in draw(
+        st.lists(st.tuples(st.integers(0, len(blob) - 1), st.integers(0, 255)), max_size=3)
+    ):
+        blob[pos] = value
+    return bytes(blob[: draw(st.integers(0, len(blob)))] if draw(st.booleans()) else blob)
+
+
+def _bounded(fn, arg):
+    """fn(arg), or None if it raises a library error; within 0.1 s and 8 MB."""
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        return fn(arg)
+    except MemboundError:
+        return None
+    finally:
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert elapsed < 0.1 and peak < 8 << 20, (elapsed, peak)
+
+
+_TEXT_LINES = st.sampled_from(
+    ["0.5", "1", "0", " 0.25 ", "1e-3", "2", "-0.1", "nan", "inf", "#c", "", "x", "\r"]
+)
+_FILES = st.one_of(
+    st.binary(max_size=200),
+    st.lists(_TEXT_LINES, max_size=12).map(lambda lines: "\n".join(lines).encode()),
+)
+
+
+class TestFuzzedInput:
+    """Outside input either parses into something consistent or raises a
+    MemboundError subclass, quickly and in little memory."""
+
+    @settings(max_examples=400)
+    @given(st.one_of(_mutated_blobs(), st.binary(max_size=120)))
+    def test_deserialize(self, blob):
+        state = _bounded(deserialize, blob)
+        if state is not None:
+            assert serialize(state) == blob
+
+    @settings(suppress_health_check=list(HealthCheck))
+    @given(_FILES)
+    def test_read_keys(self, tmp_path, data):
+        path = tmp_path / "keys.txt"
+        path.write_bytes(data)
+        keys = _bounded(read_keys, path)
+        joined = b"\n".join(keys)
+        assert data in (joined, joined + b"\n")
+
+    @settings(suppress_health_check=list(HealthCheck))
+    @given(_FILES)
+    def test_read_scores(self, tmp_path, data):
+        path = tmp_path / "scores.txt"
+        path.write_bytes(data)
+        scores = _bounded(read_scores, path)
+        if scores is not None:
+            assert all(0.0 <= x <= 1.0 for x in scores)
+
+
+class TestPerfbenchSpans:
+    def test_tracer_records_every_layer(self):
+        # perfbench's per-layer metrics come from spans on these names; a
+        # refactor that reaches galois another way would zero them silently.
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            keys = [b"span-%d" % i for i in range(40)]
+            state, report = F.build(F.derive_params(40, 0, 1.0 / 3, 6), keys)
+            assert report.success
+            assert F.query_many(state, keys).all()
+            tester = functools.partial(F.query_many, state)
+            F.measure_rates(tester, keys, F.random_bytes_sampler(1, 8), 50)
+            assert F.deserialize(F.serialize(state)) == state
+        finally:
+            tracer.uninstall()
+        assert F.build is build and F.query_many is query_many
+        calls = {name: row["calls"] for name, row in tracer.summary().items()}
+        for name in (
+            "galois.WordStream",
+            "galois.sample_field_elements",
+            "galois.nullspace_of_matrix",
+            "filter.build",
+            "filter.query_many",
+            "filter.measure_rates",
+            "filter.serialize",
+            "filter.deserialize",
+        ):
+            assert calls.get(name, 0) >= 1, name
 
 
 def _set_tester(key_set):

@@ -1,11 +1,13 @@
 """Tests for prime-field arithmetic, kernel solving, and keyed word streams."""
 
+import functools
 import math
 import random
 import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import reference_dot, reference_element, reference_word
 
 from membound import (
     DomainError,
@@ -158,7 +160,20 @@ class TestDot:
                 xb = FieldVector.from_array(field, b)
                 xc = FieldVector.from_array(field, c)
                 xsum = FieldVector.from_array(field, (a + b) % q)
+                assert dot(xa, xc) == reference_dot(a, c, q)
                 assert dot(xsum, xc) == (dot(xa, xc) + dot(xb, xc)) % q
+
+    def test_wide_field_matches_plain_ints(self):
+        # (q-1)**2 overflows int64, so dot takes matmul_mod's digit split.
+        q = 4294967291
+        field = PrimeField(q)
+        rng = np.random.default_rng(29)
+        for m in (1, 2, 7, 40):
+            a = rng.integers(0, q, size=m)
+            b = rng.integers(0, q, size=m)
+            a[0] = b[0] = q - 1
+            got = dot(FieldVector.from_array(field, a), FieldVector.from_array(field, b))
+            assert got == reference_dot(a, b, q)
 
 
 class TestNullspace:
@@ -223,7 +238,7 @@ class TestNullspace:
                 assert y is not None
                 assert not y.is_zero()
                 for r in rows:
-                    assert dot(r, y) == 0
+                    assert reference_dot(r.coords, y.coords, q) == 0
 
     def test_deterministic(self):
         rng = np.random.default_rng(13)
@@ -450,40 +465,67 @@ class TestWordStream:
             stream.word(0, 256)
 
     def test_block_matches_scalar_words(self):
-        stream = WordStream(2**63 + 9, b"vectorized")
-        block = stream.word_block(100, 257)
-        scalar = np.array(
-            [stream.word(100 + i) for i in range(257)], dtype=np.uint64
-        )
-        assert np.array_equal(block, scalar)
+        seed, label = 2**63 + 9, b"vectorized"
+        stream = WordStream(seed, label)
+        scalar = [reference_word(seed, label, 100 + i) for i in range(257)]
+        assert stream.word_block(100, 257).tolist() == scalar
+        assert [stream.word(100 + i) for i in range(257)] == scalar
 
     def test_words_at_supports_attempts(self):
         stream = WordStream(4, b"at")
         idx = np.array([0, 5, 9], dtype=np.uint64)
         got = stream.words_at(idx, attempt=3)
-        expected = np.array([stream.word(i, 3) for i in (0, 5, 9)], dtype=np.uint64)
-        assert np.array_equal(got, expected)
+        assert got.tolist() == [reference_word(4, b"at", i, 3) for i in (0, 5, 9)]
+
+    def test_array_calls_refuse_indices_past_the_counter(self):
+        # Index 2**56 would wrap onto index 0 in the 64-bit counter.
+        stream = WordStream(1, b"x")
+        last = (1 << 56) - 1
+        assert stream.word_block(last - 3, 4).tolist() == [
+            reference_word(1, b"x", i) for i in range(last - 3, last + 1)
+        ]
+        assert stream.words_at(np.array([last], dtype=np.uint64)).tolist() == [
+            reference_word(1, b"x", last)
+        ]
+        for start, count in ((1 << 56, 4), (last, 2), (-1, 2), (0, -1)):
+            with pytest.raises(DomainError):
+                stream.word_block(start, count)
+            with pytest.raises(DomainError):
+                sample_field_elements(stream, PrimeField(3), start, count)
+        for bad in ([1 << 56], [0, -1]):
+            with pytest.raises(DomainError):
+                stream.words_at(np.array(bad))
+        with pytest.raises(DomainError):
+            stream.word_block(0, 4, 256)
+        with pytest.raises(DomainError):
+            stream.words_at(np.array([0]), -1)
+        for args in ((1.5,), (0, 1.5)):
+            with pytest.raises(TypeError):
+                stream.word(*args)
+        with pytest.raises(TypeError):
+            sample_field_elements(stream, PrimeField(3), 0.5, 4)
 
 
 class _ForcedRejection:
-    """Word source whose attempt-0 word at index 0 is the maximal 64-bit value.
+    """Word source whose first ``rejected`` attempts at index 0 give 2**64 - 1.
 
-    2**64 - 1 lies at or above the acceptance threshold for every q > 1, so
-    sampling at index 0 must fall through to attempt 1.
+    2**64 - 1 lies at or above the acceptance threshold for every q > 2, so
+    sampling at index 0 must fall through to attempt ``rejected``.
     """
 
-    def __init__(self, inner):
+    def __init__(self, inner, rejected=1):
         self.inner = inner
+        self.rejected = rejected
 
     def word(self, index, attempt=0):
-        if index == 0 and attempt == 0:
+        if index == 0 and attempt < self.rejected:
             return (1 << 64) - 1
-        return self.inner.word(index, attempt)
+        return reference_word(self.inner.seed, self.inner.label, index, attempt)
 
     def words_at(self, indices, attempt=0):
         out = self.inner.words_at(indices, attempt).copy()
-        if attempt == 0:
-            out[indices == np.uint64(0)] = np.uint64((1 << 64) - 1)
+        if attempt < self.rejected:
+            out[indices == 0] = np.uint64((1 << 64) - 1)
         return out
 
     def word_block(self, start, count, attempt=0):
@@ -521,20 +563,78 @@ class TestFieldSampling:
             assert abs(c - n * p) <= band
 
     def test_vectorized_matches_scalar(self):
-        for q in (2, 3, 5, 7):
+        word = functools.partial(reference_word, 3141, b"match")
+        for q in (2, 3, 5, 7, 4294967291):
             field = PrimeField(q)
             stream = WordStream(3141, b"match")
-            vec = sample_field_elements(stream, field, 50, 200)
-            scalar = [sample_field_element(stream, field, 50 + i) for i in range(200)]
-            assert vec.tolist() == scalar
+            scalar = [reference_element(word, q, 50 + i) for i in range(200)]
+            assert sample_field_elements(stream, field, 50, 200).tolist() == scalar
+            assert [sample_field_element(stream, field, 50 + i) for i in range(5)] == (
+                scalar[:5]
+            )
 
     def test_rejection_retries_next_attempt(self):
-        inner = WordStream(777, b"reject")
-        forced = _ForcedRejection(inner)
+        forced = _ForcedRejection(WordStream(777, b"reject"))
         for q in (3, 5, 7):
             field = PrimeField(q)
             got = sample_field_element(forced, field, 0)
-            assert got == inner.word(0, 1) % q
+            assert got == reference_word(777, b"reject", 0, 1) % q
             vec = sample_field_elements(forced, field, 0, 40)
-            scalar = [sample_field_element(forced, field, i) for i in range(40)]
+            scalar = [reference_element(forced.word, q, i) for i in range(40)]
             assert vec.tolist() == scalar
+
+    def test_last_attempt_is_checked(self):
+        # Attempts 0..254 of draw 0 are rejected, so attempt 255 decides it.
+        forced = _ForcedRejection(WordStream(778, b"reject"), rejected=255)
+        word = reference_word(778, b"reject", 0, 255)
+        for q in (3, 5, 7):
+            field = PrimeField(q)
+            assert word < q * ((1 << 64) // q)
+            assert sample_field_element(forced, field, 0) == word % q
+            vec = sample_field_elements(forced, field, 0, 4)
+            scalar = [reference_element(forced.word, q, i) for i in range(4)]
+            assert vec.tolist() == scalar
+            assert vec[0] == word % q
+
+    def test_rejection_gives_up_after_256_attempts(self):
+        forced = _ForcedRejection(WordStream(779, b"reject"), rejected=256)
+        with pytest.raises(RuntimeError):
+            sample_field_elements(forced, PrimeField(3), 0, 4)
+        with pytest.raises(RuntimeError):
+            sample_field_element(forced, PrimeField(3), 0)
+
+
+class TestPinnedHash:
+    """Stream words and draws pinned as literals, each derived with the
+    plain-int reference in conftest; a change here changes every filter."""
+
+    WORDS = (
+        (0, 0, 6707547818499696807),
+        (1, 0, 10051666135193821744),
+        (2, 1, 16198805872327070199),
+        (255, 0, 14383758118921653992),
+        (256, 3, 11745697455180883216),
+        (2**32, 0, 13916662861036932494),
+        (2**56 - 1, 0, 6947506957848119627),
+        (2**56 - 1, 255, 18423725369768602395),
+    )
+    DRAWS = {
+        3: [0, 1, 0, 1, 1, 0, 1, 2],
+        4294967291: [
+            3037157977, 486363010, 829059619, 4289892167,
+            447175580, 940725652, 3173630793, 120570937,
+        ],
+    }
+
+    def test_words(self):
+        stream = WordStream(2024, b"pin")
+        for index, attempt, want in self.WORDS:
+            assert reference_word(2024, b"pin", index, attempt) == want
+            assert stream.word(index, attempt) == want
+
+    def test_draws(self):
+        stream = WordStream(2024, b"pin")
+        word = functools.partial(reference_word, 2024, b"pin")
+        for q, want in self.DRAWS.items():
+            assert [reference_element(word, q, 1000 + i) for i in range(8)] == want
+            assert sample_field_elements(stream, PrimeField(q), 1000, 8).tolist() == want
