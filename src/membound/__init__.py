@@ -37,14 +37,11 @@ from .rate_distortion import (
     FrontierPoint,
     LogLossOptimum,
     OptimalScorePair,
-    RateReport,
-    SolverConfig,
     first_order_rate,
     memory_lower_bound,
     metric_value,
     optimal_binary,
     optimal_logloss,
-    rate_report,
     rp_binary_oracle,
     solve_rp,
 )
@@ -105,9 +102,7 @@ __all__ = [
     "read_scores",
     # rate_distortion
     "ErrorMetric",
-    "SolverConfig",
     "FrontierPoint",
-    "RateReport",
     "OptimalScorePair",
     "LogLossOptimum",
     "metric_value",
@@ -117,7 +112,6 @@ __all__ = [
     "first_order_rate",
     "memory_lower_bound",
     "solve_rp",
-    "rate_report",
     # galois
     "PrimeField",
     "FieldVector",

@@ -48,6 +48,10 @@ _ERROR_SLUGS = (
     (OSError, "io"),
 )
 
+# Largest sweep point count or histogram bin count accepted, so an
+# oversized argument is refused before numpy allocates for it.
+_MAX_COUNT = 10**6
+
 
 def _emit_error(exc: BaseException) -> None:
     slug = "error"
@@ -99,8 +103,8 @@ def _parse_p_values(text: str) -> list[float]:
             start, stop, points = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError as exc:
             raise DomainError(f"malformed sweep bounds in {text!r}") from exc
-        if points < 1:
-            raise DomainError(f"sweep needs at least 1 point; got {points}")
+        if not 1 <= points <= _MAX_COUNT:
+            raise DomainError(f"sweep needs 1 to {_MAX_COUNT} points; got {points}")
         import numpy as np
 
         if parts[3] == "log":
@@ -310,6 +314,8 @@ def _run_oracle_fpr(args) -> int:
 
 
 def _run_estimate_kl(args) -> int:
+    if args.bins > _MAX_COUNT:
+        raise DomainError(f"--bins must be at most {_MAX_COUNT}; got {args.bins}")
     facts = measures.read_scores(args.facts)
     nonfacts = measures.read_scores(args.nonfacts)
     hist_k = measures.estimate_from_samples(facts, args.bins)

@@ -39,8 +39,6 @@ __all__ = [
     "ErrorMetric",
     "metric_value",
     "FrontierPoint",
-    "RateReport",
-    "SolverConfig",
     "OptimalScorePair",
     "LogLossOptimum",
     "optimal_binary",
@@ -49,7 +47,6 @@ __all__ = [
     "rp_binary_oracle",
     "first_order_rate",
     "memory_lower_bound",
-    "rate_report",
     "frontier_to_csv",
     "frontier_sidecar",
 ]
@@ -101,7 +98,7 @@ class ErrorMetric:
                 x, pen = float(x), float(pen)
                 if not (0.0 <= x <= 1.0):
                     raise DomainError(f"tabulated location {x!r} outside [0, 1]")
-                if math.isnan(pen) or pen < 0.0:
+                if not pen >= 0.0:
                     raise DomainError(f"tabulated penalty {pen!r} is negative or NaN")
                 rows.append((x, pen))
             rows.sort()
@@ -168,32 +165,6 @@ def metric_value(metric: ErrorMetric, x: float) -> float:
 
 
 @dataclass(frozen=True)
-class SolverConfig:
-    """Tunables for ``solve_rp``.
-
-    ``grid_points`` uniform score locations on [0, 1] (augmented with the
-    closed-form log-loss atoms and any tabulated locations); dual search by
-    nested bisection over [0, ``lambda_max``] stopping at constraint
-    residual ``residual_tol`` or ``max_iterations``; the reported support is
-    pruned to ``prune_atoms`` atoms when that changes the objective by less
-    than ``prune_tol``.
-    """
-
-    grid_points: int = 201
-    lambda_max: float = 1e6
-    residual_tol: float = 1e-6
-    max_iterations: int = 200
-    prune_atoms: int = 5
-    prune_tol: float = 1e-8
-
-    def __post_init__(self) -> None:
-        if self.grid_points < 2:
-            raise DomainError("grid_points must be at least 2")
-        if self.lambda_max <= 0 or self.residual_tol <= 0 or self.max_iterations < 1:
-            raise DomainError("solver limits must be positive")
-
-
-@dataclass(frozen=True)
 class FrontierPoint:
     """One solved point of the memory-error frontier."""
 
@@ -206,21 +177,6 @@ class FrontierPoint:
     dual_K: float
     dual_N: float
     converged: bool
-
-
-@dataclass(frozen=True)
-class RateReport:
-    """Bundle of the rate views for one (eps_K, eps_N, p, n) setting.
-
-    Entries are None when not applicable (no closed form for tabulated
-    metrics; first-order expansion only for binary metrics; finite-n bound
-    only when n is given).  All present entries are >= 0.
-    """
-
-    closed_form_rate: Optional[float]
-    solver_rate: float
-    first_order: Optional[float]
-    finite_n_bound_total: Optional[float]
 
 
 @dataclass(frozen=True)
@@ -250,7 +206,7 @@ def optimal_binary(eps_K: float, eps_N: float) -> OptimalScorePair:
     (Bernoulli(1 - eps_K), Bernoulli(eps_N)) with rate
     KL(Bern(1-eps_K) || Bern(eps_N)) bits per key.
     """
-    if eps_K < 0.0 or eps_N < 0.0:
+    if not (eps_K >= 0.0 and eps_N >= 0.0):
         raise DomainError("error budgets must be nonnegative")
     if eps_K + eps_N >= 1.0:
         raise TrivialRegimeError(
@@ -305,7 +261,7 @@ def rp_binary_oracle(p: float, eps_K: float, eps_N: float, grid_size: int) -> fl
         raise DomainError(f"grid_size must be >= 100, got {grid_size}")
     if not (0.0 < p < 1.0):
         raise DomainError(f"key density p={p!r} outside (0, 1)")
-    if eps_K < 0.0 or eps_N < 0.0:
+    if not (eps_K >= 0.0 and eps_N >= 0.0):
         raise DomainError("error budgets must be nonnegative")
     if eps_K + eps_N >= 1.0 and eps_K < 1.0 and eps_N < 1.0:
         raise TrivialRegimeError(
@@ -335,9 +291,9 @@ def first_order_rate(eps_K: float, eps_N: float, p: float) -> float:
 
     Returns +inf when the base KL is infinite (eps_N = 0 with eps_K < 1).
     """
-    if p < 0.0:
+    if not p >= 0.0:
         raise DomainError(f"p must be nonnegative, got {p!r}")
-    if eps_K < 0.0 or eps_N < 0.0:
+    if not (eps_K >= 0.0 and eps_N >= 0.0):
         raise DomainError("error budgets must be nonnegative")
     if eps_K + eps_N >= 1.0:
         raise TrivialRegimeError(
@@ -356,7 +312,7 @@ def memory_lower_bound(n: int, fp_value: float) -> float:
     ``fp_value``: max(0, n*fp_value - log2(8n)/2)."""
     if not isinstance(n, int) or n < 1:
         raise DomainError(f"n must be a positive integer, got {n!r}")
-    if fp_value < 0.0:
+    if not fp_value >= 0.0:
         raise DomainError(f"fp_value must be nonnegative, got {fp_value!r}")
     if math.isinf(fp_value):
         return math.inf
@@ -382,6 +338,16 @@ def memory_lower_bound(n: int, fp_value: float) -> float:
 # edge, where the optimum is available in closed form.  This is the exact
 # fixed point of the alternating row/mixture minimization, computed without
 # iterating; the optimal rows follow as muK = r*wK/a, muN = r*wN/b.
+#
+# The score grid is _GRID_POINTS uniform locations (plus the closed-form
+# log-loss atoms and any tabulated locations); each dual is bisected on
+# [0, _LAMBDA_MAX] until the constraint residual is within _RESIDUAL_TOL or
+# _MAX_ITERATIONS halvings have run.
+
+_GRID_POINTS = 201
+_LAMBDA_MAX = 1e6
+_RESIDUAL_TOL = 1e-6
+_MAX_ITERATIONS = 200
 
 
 @dataclass
@@ -499,64 +465,52 @@ def _mix_solutions(
     )
 
 
-def _mix_to_budget(
-    above: _InnerSolution,
-    below: _InnerSolution,
-    eps: float,
-    side: str,
-    dK: np.ndarray,
-    dN: np.ndarray,
-) -> _InnerSolution:
-    """Time-share two bracket-end minimizers so the budget binds exactly."""
-    ea = above.E_K if side == "K" else above.E_N
-    eb = below.E_K if side == "K" else below.E_N
-    if math.isinf(ea) or ea <= eb:
-        tau = 0.0
-    else:
-        tau = min(1.0, max(0.0, (eps - eb) / (ea - eb)))
-    return _mix_solutions(above, below, tau, dK, dN)
-
-
 def _bisect_dual(
-    evaluate, eps: float, side: str, cfg: SolverConfig, dK: np.ndarray, dN: np.ndarray
-) -> tuple[float, _InnerSolution, bool]:
+    evaluate, eps: float, side: str, dK: np.ndarray, dN: np.ndarray
+) -> tuple[float, _InnerSolution, bool, object]:
     """Bisection on one dual so that the chosen side's expectation meets eps.
 
-    ``evaluate(lam)`` returns the inner solution at that dual; the
+    ``evaluate(lam)`` returns (inner solution at that dual, tag); the
     expectation is nonincreasing in the dual.  Returns (dual, solution,
-    converged).  A constraint already satisfied at dual 0 is dropped; if
-    even ``lambda_max`` cannot meet the budget the best iterate is returned
-    with converged = False.
+    converged, tag of the last evaluation).  A constraint already satisfied
+    at dual 0 is dropped; if even ``_LAMBDA_MAX`` cannot meet the budget the
+    best iterate is returned with converged = False.
     """
 
     def errval(sol: _InnerSolution) -> float:
         return sol.E_K if side == "K" else sol.E_N
 
     lo_lam = 0.0
-    lo_sol = evaluate(0.0)
-    if errval(lo_sol) <= eps + cfg.residual_tol:
-        return 0.0, lo_sol, True
-    hi_lam = cfg.lambda_max
-    hi_sol = evaluate(hi_lam)
-    if errval(hi_sol) > eps + cfg.residual_tol:
-        return hi_lam, hi_sol, False
-    if abs(errval(hi_sol) - eps) <= cfg.residual_tol:
-        return hi_lam, hi_sol, True
-    for _ in range(cfg.max_iterations):
+    lo_sol, tag = evaluate(0.0)
+    if errval(lo_sol) <= eps + _RESIDUAL_TOL:
+        return 0.0, lo_sol, True, tag
+    hi_lam = _LAMBDA_MAX
+    hi_sol, tag = evaluate(hi_lam)
+    if errval(hi_sol) > eps + _RESIDUAL_TOL:
+        return hi_lam, hi_sol, False, tag
+    if abs(errval(hi_sol) - eps) <= _RESIDUAL_TOL:
+        return hi_lam, hi_sol, True, tag
+    for _ in range(_MAX_ITERATIONS):
         mid = 0.5 * (lo_lam + hi_lam)
-        sol = evaluate(mid)
+        sol, tag = evaluate(mid)
         err = errval(sol)
-        if abs(err - eps) <= cfg.residual_tol:
-            return mid, sol, True
+        if abs(err - eps) <= _RESIDUAL_TOL:
+            return mid, sol, True, tag
         if err > eps:
             lo_lam, lo_sol = mid, sol
         else:
             hi_lam, hi_sol = mid, sol
         if hi_lam - lo_lam <= 1e-12 * max(1.0, hi_lam):
             break
-    # The expectation jumps across the bracket (support switch): time-share.
-    mixed = _mix_to_budget(lo_sol, hi_sol, eps, side, dK, dN)
-    return 0.5 * (lo_lam + hi_lam), mixed, True
+    # The expectation jumps across the bracket (support switch): time-share
+    # the two bracket ends so the budget binds exactly.
+    ea, eb = errval(lo_sol), errval(hi_sol)
+    if math.isinf(ea) or ea <= eb:
+        tau = 0.0
+    else:
+        tau = min(1.0, max(0.0, (eps - eb) / (ea - eb)))
+    mixed = _mix_solutions(lo_sol, hi_sol, tau, dK, dN)
+    return 0.5 * (lo_lam + hi_lam), mixed, True, tag
 
 
 def _zero_rate_solution(
@@ -606,10 +560,8 @@ def _zero_rate_solution(
     return out
 
 
-def _build_grid(
-    metric_K: ErrorMetric, metric_N: ErrorMetric, eps_K: float, cfg: SolverConfig
-) -> np.ndarray:
-    pts = [np.linspace(0.0, 1.0, cfg.grid_points)]
+def _build_grid(metric_K: ErrorMetric, metric_N: ErrorMetric, eps_K: float) -> np.ndarray:
+    pts = [np.linspace(0.0, 1.0, _GRID_POINTS)]
     if metric_K.is_logloss() or metric_N.is_logloss():
         extras = [0.0, 1.0]
         if metric_K.kind == "logloss_key":
@@ -621,55 +573,6 @@ def _build_grid(
     grid = np.sort(np.concatenate(pts))
     keep = np.concatenate(([True], np.diff(grid) > MERGE_TOL))
     return grid[keep]
-
-
-def _prune_support(
-    p: float,
-    dK: np.ndarray,
-    dN: np.ndarray,
-    sol: _InnerSolution,
-    eps_K: float,
-    eps_N: float,
-    cfg: SolverConfig,
-) -> _InnerSolution:
-    """Drop near-idle atoms until at most ``prune_atoms`` remain, whenever a
-    drop moves the objective by less than ``prune_tol`` and keeps both
-    budgets within tolerance."""
-
-    def live(s: _InnerSolution) -> np.ndarray:
-        return np.nonzero((s.mK > 0.0) | (s.mN > 0.0))[0]
-
-    current = sol
-    while live(current).size > cfg.prune_atoms:
-        base = f_p_masses(p, current.mK, current.mN)
-        candidates = live(current)
-        order = np.argsort(current.mK[candidates] + current.mN[candidates])
-        pruned = None
-        for c in candidates[order]:
-            mK = current.mK.copy()
-            mN = current.mN.copy()
-            mK[c] = 0.0
-            mN[c] = 0.0
-            sK, sN = mK.sum(), mN.sum()
-            if sK <= 0.0 or sN <= 0.0:
-                continue
-            mK /= sK
-            mN /= sN
-            trial = _InnerSolution(
-                current.idx, mK, mN,
-                _mean_penalty(mK, dK[current.idx]),
-                _mean_penalty(mN, dN[current.idx]),
-            )
-            if trial.E_K > eps_K + cfg.residual_tol or trial.E_N > eps_N + cfg.residual_tol:
-                continue
-            alt = f_p_masses(p, trial.mK, trial.mN)
-            if abs(alt - base) < cfg.prune_tol:
-                pruned = trial
-                break
-        if pruned is None:
-            break
-        current = pruned
-    return current
 
 
 def _distribution_from(grid: np.ndarray, idx: np.ndarray, masses: np.ndarray):
@@ -684,11 +587,10 @@ def solve_rp(
     metric_N: ErrorMetric,
     eps_K: float,
     eps_N: float,
-    config: Optional[SolverConfig] = None,
 ) -> FrontierPoint:
     """Minimize f_p over score pairs meeting both error budgets.
 
-    The score space is discretized (see SolverConfig); the two dual
+    The score space is discretized on a fixed grid; the two dual
     multipliers are found by nested bisection (outer on the key budget,
     inner on the non-key budget), with each inner Lagrangian minimized
     exactly.  A budget already satisfied at dual 0 is dropped.  Jointly
@@ -696,16 +598,15 @@ def solve_rp(
 
     Deterministic: the same inputs always produce the same FrontierPoint.
     """
-    cfg = config or SolverConfig()
     if not (0.0 < p < 1.0):
         raise DomainError(f"key density p={p!r} outside the open interval (0, 1)")
-    if eps_K < 0.0 or eps_N < 0.0:
+    if not (eps_K >= 0.0 and eps_N >= 0.0):
         raise DomainError("error budgets must be nonnegative")
     if metric_K.side != "key":
         raise DomainError("metric_K must be a key-side metric")
     if metric_N.side != "nonkey":
         raise DomainError("metric_N must be a non-key-side metric")
-    grid = _build_grid(metric_K, metric_N, eps_K, cfg)
+    grid = _build_grid(metric_K, metric_N, eps_K)
     dK = np.array([metric_value(metric_K, x) for x in grid])
     dN = np.array([metric_value(metric_N, x) for x in grid])
     drop = np.isinf(dK) & np.isinf(dN)
@@ -727,56 +628,22 @@ def solve_rp(
         rho = _distribution_from(grid, np.nonzero(common)[0], common[common > 0.0])
         return FrontierPoint(p, eps_K, eps_N, 0.0, rho, rho, 0.0, 0.0, True)
 
-    inner_dual = {"lam": 0.0, "ok": True}
-
-    def outer_eval(lamK: float) -> _InnerSolution:
-        lamN, sol, ok = _bisect_dual(
-            lambda lamN: _inner_solve(p, dK, dN, lamK, lamN),
-            eps_N, "N", cfg, dK, dN,
+    def outer_eval(lamK: float) -> tuple[_InnerSolution, tuple[float, bool]]:
+        lamN, sol, ok, _ = _bisect_dual(
+            lambda lamN: (_inner_solve(p, dK, dN, lamK, lamN), None),
+            eps_N, "N", dK, dN,
         )
-        inner_dual["lam"], inner_dual["ok"] = lamN, ok
-        return sol
+        return sol, (lamN, ok)
 
-    lamK, sol, okK = _bisect_dual(outer_eval, eps_K, "K", cfg, dK, dN)
-    lamN, okN = inner_dual["lam"], inner_dual["ok"]
+    # dual_N is the inner dual found at the outer search's last evaluation.
+    lamK, sol, okK, (lamN, okN) = _bisect_dual(outer_eval, eps_K, "K", dK, dN)
     converged = okK and okN
-    sol = _prune_support(p, dK, dN, sol, eps_K, eps_N, cfg)
     rate = f_p_masses(p, sol.mK, sol.mN)
     mu_K = _distribution_from(grid, sol.idx, sol.mK)
     mu_N = _distribution_from(grid, sol.idx, sol.mN)
     return FrontierPoint(
         p, eps_K, eps_N, max(0.0, rate), mu_K, mu_N, lamK, lamN, converged
     )
-
-
-def rate_report(
-    eps_K: float,
-    eps_N: float,
-    p: float,
-    n: Optional[int] = None,
-    regime: str = "binary",
-    config: Optional[SolverConfig] = None,
-) -> RateReport:
-    """Bundle the closed-form, solver, expansion, and finite-n views.
-
-    ``regime`` selects the metric pair: "binary" (FNR/FPR budgets) or
-    "logloss" (budgets in nats).
-    """
-    if regime == "binary":
-        closed = optimal_binary(eps_K, eps_N).rate_bits_per_key
-        first = first_order_rate(eps_K, eps_N, p)
-        point = solve_rp(p, ErrorMetric.fnr(), ErrorMetric.fpr(), eps_K, eps_N, config)
-    elif regime == "logloss":
-        closed = optimal_logloss(eps_K, eps_N).rate_bits_per_key
-        first = None
-        point = solve_rp(
-            p, ErrorMetric.logloss_key(), ErrorMetric.logloss_nonkey(),
-            eps_K, eps_N, config,
-        )
-    else:
-        raise DomainError(f"unknown regime {regime!r}")
-    bound = None if n is None else memory_lower_bound(n, point.rate_bits_per_key)
-    return RateReport(closed, point.rate_bits_per_key, first, bound)
 
 
 FRONTIER_CSV_HEADER = "p,eps_K,eps_N,rate_bits_per_key,dual_K,dual_N,converged"

@@ -106,6 +106,12 @@ class TestOptimal:
         assert doc["error"] == "trivial-regime"
         assert doc["message"]
 
+    def test_nan_budget_is_domain_error(self, capsys):
+        for family in ("binary", "logloss"):
+            rc, _, err = run(capsys, "optimal", family, "--eps-k", "nan", "--eps-n", "0.1")
+            assert rc == 1
+            assert json.loads(err)["error"] == "domain"
+
 
 class TestUsageErrors:
     def test_missing_required_flag(self, capsys):
@@ -192,11 +198,36 @@ class TestFrontier:
             assert point["mu_K"]["atoms"]
 
     def test_malformed_sweep_is_domain_error(self, capsys):
-        for spec in ("sweep:1,2", "sweep:0.001,0.1,3,cubic", "sweep:a,b,3,log", "huh"):
+        # 10^15 points would need 8 PB for the p values alone.
+        oversized = "sweep:0.001,0.1,1000000000000000,log"
+        for spec in ("sweep:1,2", "sweep:0.001,0.1,3,cubic", "sweep:a,b,3,log", "huh", oversized):
             rc, _, err = run(
                 capsys, "frontier", "--p", spec, "--eps-k", "0.1", "--eps-n", "0.1"
             )
             assert rc == 1
+            assert json.loads(err)["error"] == "domain"
+
+    def test_readme_logloss_line(self, capsys):
+        rc, out, _ = run(
+            capsys, "frontier", "--p", "0.001", "--metric-k", "logloss",
+            "--metric-n", "logloss", "--eps-k", "0.1", "--eps-n", "0.2",
+        )
+        assert rc == 0
+        cells = out.splitlines()[1].split(",")
+        assert cells[:3] == ["0.001", "0.1", "0.2"]
+        rate, dual_K, dual_N = (float(c) for c in cells[3:6])
+        assert rate == pytest.approx(3.5481850404807913, abs=1e-12)
+        assert dual_K == pytest.approx(5.7220458984375, abs=1e-12)
+        assert dual_N == pytest.approx(7.171358447521925, abs=1e-12)
+        assert cells[6] == "true"
+
+    def test_nan_budget_is_domain_error(self, capsys):
+        for eps_k, eps_n in (("nan", "0.1"), ("0.1", "nan")):
+            rc, out, err = run(
+                capsys, "frontier", "--p", "0.1", "--eps-k", eps_k, "--eps-n", eps_n
+            )
+            assert rc == 1
+            assert out == ""
             assert json.loads(err)["error"] == "domain"
 
 
@@ -454,3 +485,11 @@ class TestEstimateKl:
         doc = json.loads(err)
         assert doc["error"] == "file-format"
         assert ":2:" in doc["message"]
+
+    def test_oversized_bins_refused_before_allocating(self, capsys, score_files):
+        facts, nonfacts = score_files
+        rc, _, err = run(
+            capsys, "estimate-kl", str(facts), str(nonfacts), "--bins", "1000000000000000"
+        )
+        assert rc == 1
+        assert json.loads(err)["error"] == "domain"

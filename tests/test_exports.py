@@ -1,0 +1,25 @@
+"""Every exported name resolves, and deleted APIs stay deleted."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import membound
+
+MODULES = ["membound"] + [f"membound.{m.name}" for m in pkgutil.iter_modules(membound.__path__)]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    missing = [n for n in module.__all__ if not hasattr(module, n)]
+    assert missing == []
+    assert len(set(module.__all__)) == len(module.__all__)
+
+
+@pytest.mark.parametrize("name", ["SolverConfig", "RateReport", "rate_report"])
+def test_deleted_solver_apis_are_gone(name):
+    for module in (membound, membound.rate_distortion):
+        assert not hasattr(module, name)
+        assert name not in module.__all__

@@ -13,7 +13,6 @@ from membound import (
     DomainError,
     ErrorMetric,
     InfeasibleError,
-    SolverConfig,
     TrivialRegimeError,
     chi_squared,
     f_p,
@@ -23,7 +22,6 @@ from membound import (
     metric_value,
     optimal_binary,
     optimal_logloss,
-    rate_report,
     rp_binary_oracle,
     solve_rp,
     wasserstein1,
@@ -151,6 +149,11 @@ class TestOptimalBinary:
         with pytest.raises(DomainError):
             optimal_binary(0.1, -0.1)
 
+    def test_nan_budget_is_domain_error(self):
+        for eps_K, eps_N in ((math.nan, 0.1), (0.1, math.nan)):
+            with pytest.raises(DomainError):
+                optimal_binary(eps_K, eps_N)
+
 
 class TestOptimalLogloss:
     def test_frozen_example(self):
@@ -222,6 +225,11 @@ class TestRpBinaryOracle:
         with pytest.raises(TrivialRegimeError):
             rp_binary_oracle(0.5, 0.6, 0.6, 100)
 
+    def test_nan_budget_rejected(self):
+        for eps_K, eps_N in ((math.nan, 0.1), (0.1, math.nan)):
+            with pytest.raises(DomainError):
+                rp_binary_oracle(0.1, eps_K, eps_N, 100)
+
 
 class TestFirstOrderRate:
     def test_frozen_examples(self):
@@ -249,6 +257,11 @@ class TestFirstOrderRate:
         with pytest.raises(DomainError):
             first_order_rate(0.1, 0.1, -0.01)
 
+    def test_nan_inputs_rejected(self):
+        for args in ((0.1, 0.1, math.nan), (math.nan, 0.1, 0.01), (0.1, math.nan, 0.01)):
+            with pytest.raises(DomainError):
+                first_order_rate(*args)
+
 
 class TestMemoryLowerBound:
     def test_power_of_two_example(self):
@@ -273,21 +286,9 @@ class TestMemoryLowerBound:
         with pytest.raises(DomainError):
             memory_lower_bound(10, -1.0)
 
-
-class TestSolverConfig:
-    def test_defaults_valid(self):
-        cfg = SolverConfig()
-        assert cfg.grid_points == 201
-
-    def test_validation(self):
+    def test_nan_price_rejected(self):
         with pytest.raises(DomainError):
-            SolverConfig(grid_points=1)
-        with pytest.raises(DomainError):
-            SolverConfig(lambda_max=0.0)
-        with pytest.raises(DomainError):
-            SolverConfig(residual_tol=0.0)
-        with pytest.raises(DomainError):
-            SolverConfig(max_iterations=0)
+            memory_lower_bound(10, math.nan)
 
 
 @pytest.fixture(scope="module")
@@ -319,6 +320,24 @@ class TestSolveRpBinary:
     def test_deterministic(self):
         args = (0.1, ErrorMetric.fnr(), ErrorMetric.fpr(), 0.1, 0.05)
         assert solve_rp(*args) == solve_rp(*args)
+
+    def test_readme_example_pinned(self):
+        point = solve_rp(0.001, ErrorMetric.fnr(), ErrorMetric.fpr(), 0.1, 0.1)
+        assert point.rate_bits_per_key == pytest.approx(2.5308298679238206, abs=1e-12)
+        (x0, w0), (x1, w1) = point.mu_N.atoms
+        assert (x0, x1) == (0.0, 1.0)
+        assert w0 == pytest.approx(0.9000002769163101, abs=1e-12)
+        assert w1 == pytest.approx(0.0999997230836899, abs=1e-12)
+
+    def test_nan_budgets_rejected(self):
+        metric_pairs = (
+            (ErrorMetric.fnr(), ErrorMetric.fpr()),
+            (ErrorMetric.logloss_key(), ErrorMetric.logloss_nonkey()),
+        )
+        for metric_K, metric_N in metric_pairs:
+            for eps_K, eps_N in ((math.nan, 0.1), (0.1, math.nan)):
+                with pytest.raises(DomainError):
+                    solve_rp(0.1, metric_K, metric_N, eps_K, eps_N)
 
     def test_metric_sides_enforced(self):
         with pytest.raises(DomainError):
@@ -447,27 +466,19 @@ class TestConvergenceToClosedForms:
         assert abs(slope - target) <= 0.2 * abs(target)
 
 
-class TestRateReport:
-    def test_binary_regime(self):
-        report = rate_report(0.1, 0.1, 0.1, n=1024)
-        assert report.closed_form_rate == optimal_binary(0.1, 0.1).rate_bits_per_key
-        assert report.first_order == first_order_rate(0.1, 0.1, 0.1)
-        assert report.finite_n_bound_total == memory_lower_bound(
-            1024, report.solver_rate
-        )
-        point = solve_rp(0.1, ErrorMetric.fnr(), ErrorMetric.fpr(), 0.1, 0.1)
-        assert report.solver_rate == point.rate_bits_per_key
-
-    def test_logloss_regime(self):
-        report = rate_report(0.1, 0.2, 0.1, regime="logloss")
-        assert report.closed_form_rate == optimal_logloss(0.1, 0.2).rate_bits_per_key
-        assert report.first_order is None
-        assert report.finite_n_bound_total is None
-        assert report.solver_rate >= 0.0
-
-    def test_unknown_regime(self):
-        with pytest.raises(DomainError):
-            rate_report(0.1, 0.1, 0.1, regime="hinge")
+class TestSolveRpLogloss:
+    def test_support_within_eight_atoms_and_budgets(self):
+        # The result time-shares two bracket solutions, each at most a
+        # time-share of two two-atom hull solutions: at most 8 atoms a side.
+        metric_K, metric_N = ErrorMetric.logloss_key(), ErrorMetric.logloss_nonkey()
+        point = solve_rp(0.6, metric_K, metric_N, 0.21, 0.3)
+        assert point.converged
+        assert len(point.mu_K.atoms) <= 8
+        assert len(point.mu_N.atoms) <= 8
+        key_pen = sum(w * metric_value(metric_K, x) for x, w in point.mu_K.atoms)
+        non_pen = sum(w * metric_value(metric_N, x) for x, w in point.mu_N.atoms)
+        assert key_pen <= 0.21 + 1e-6
+        assert non_pen <= 0.3 + 1e-6
 
 
 @pytest.fixture(scope="module")
