@@ -48,8 +48,9 @@ _ERROR_SLUGS = (
     (OSError, "io"),
 )
 
-# Largest sweep point count or histogram bin count accepted, so an
-# oversized argument is refused before numpy allocates for it.
+# Largest sweep point count, histogram bin count or bench trial count
+# accepted, so an oversized argument is refused before memory is allocated
+# for it.
 _MAX_COUNT = 10**6
 
 
@@ -240,6 +241,8 @@ def _run_filter_query(args) -> int:
 
 
 def _run_filter_bench(args) -> int:
+    if args.trials > _MAX_COUNT:
+        raise DomainError(f"--trials must be at most {_MAX_COUNT}; got {args.trials}")
     state = filter_mod.deserialize(Path(args.state).read_bytes())
     keys = filter_mod.read_keys(args.keys)
     rates = filter_mod.measure_rates(

@@ -340,14 +340,27 @@ def memory_lower_bound(n: int, fp_value: float) -> float:
 # iterating; the optimal rows follow as muK = r*wK/a, muN = r*wN/b.
 #
 # The score grid is _GRID_POINTS uniform locations (plus the closed-form
-# log-loss atoms and any tabulated locations); each dual is bisected on
-# [0, _LAMBDA_MAX] until the constraint residual is within _RESIDUAL_TOL or
-# _MAX_ITERATIONS halvings have run.
+# log-loss atoms and any tabulated locations).  Each dual is found by
+# _find_dual, outer on the key budget and inner on the non-key budget.  The
+# expectation a dual controls is nonincreasing in it and piecewise smooth in
+# u = ln(lambda), so the root is bracketed in u from a warm guess, widening
+# the step geometrically up to _LAMBDA_MAX, and then refined by Brent's
+# method (inverse-quadratic or secant steps with a bisection safeguard;
+# Brent, "Algorithms for Minimization without Derivatives", 1973).  The
+# search stops at a feasible end whose expectation lies within
+# _RESIDUAL_TOL below the budget.  Where the expectation jumps (a support
+# switch), the bracket narrows to _JUMP_WIDTH and its two ends are
+# time-shared so that the budget binds.  Expectations are math.fsum sums
+# over the very masses that are returned, so "feasible" holds in floating
+# point.
 
 _GRID_POINTS = 201
 _LAMBDA_MAX = 1e6
-_RESIDUAL_TOL = 1e-6
+_RESIDUAL_TOL = 1e-9
 _MAX_ITERATIONS = 200
+# A bracket no wider than this, relative to max(1, lambda), straddles a jump;
+# it is also the smallest positive dual a bracket search tries.
+_JUMP_WIDTH = 1e-12
 
 
 @dataclass
@@ -372,7 +385,7 @@ def _mean_penalty(masses: np.ndarray, d: np.ndarray) -> float:
     carrier = masses > 0.0
     if np.any(carrier & np.isinf(d)):
         return math.inf
-    return float(np.sum(masses[carrier] * d[carrier]))
+    return math.fsum((masses[carrier] * d[carrier]).tolist())
 
 
 def _inner_solve(
@@ -391,18 +404,13 @@ def _inner_solve(
     new_group = np.concatenate(([True], (np.diff(sa) != 0) | (np.diff(sb) != 0)))
     reps = order[new_group]
     reps = reps[(wK[reps] > 0.0) | (wN[reps] > 0.0)]
-    a_r, b_r = wK[reps], wN[reps]
-    # Pareto-maximal representatives, sorted by a ascending / b descending.
-    o2 = np.lexsort((-b_r, -a_r))
-    best_b = -1.0
-    keep = []
-    for i in o2:
-        if b_r[i] > best_b:
-            keep.append(i)
-            best_b = b_r[i]
-    keep.reverse()
-    pts = [(a_r[i], b_r[i], reps[i]) for i in keep]
-    # Upper hull (Andrew monotone chain on the Pareto staircase).
+    # Pareto-maximal representatives: scanning by a descending (b descending
+    # among ties), keep each point whose b beats every point before it.
+    o2 = np.lexsort((-wN[reps], -wK[reps]))
+    running = np.maximum.accumulate(wN[reps[o2]])
+    stair = reps[o2[np.concatenate(([True], running[1:] > running[:-1]))]][::-1]
+    # Upper hull (Andrew monotone chain on the staircase, a ascending).
+    pts = zip(wK[stair].tolist(), wN[stair].tolist(), stair.tolist())
     hull: list[tuple[float, float, int]] = []
     for pt in pts:
         while len(hull) >= 2:
@@ -412,26 +420,24 @@ def _inner_solve(
             else:
                 break
         hull.append(pt)
-    ha = np.array([h[0] for h in hull])
-    hb = np.array([h[1] for h in hull])
+    ha = [h[0] for h in hull]
+    hb = [h[1] for h in hull]
     with np.errstate(divide="ignore"):
         phi_v = p * np.log(ha) + (1.0 - p) * np.log(hb)
-    best_phi = float(np.max(phi_v))
-    best = (int(np.argmax(phi_v)), None)  # vertex index, edge t
+    v = int(np.argmax(phi_v))
+    best_phi, t = float(phi_v[v]), None
     for e in range(len(hull) - 1):
         aV, bV = ha[e], hb[e]
         da, db = ha[e + 1] - aV, hb[e + 1] - bV
         prod = da * db
         if prod == 0.0:
             continue
-        t = -(p * da * bV + (1.0 - p) * db * aV) / prod
-        if not (0.0 < t < 1.0):
+        te = -(p * da * bV + (1.0 - p) * db * aV) / prod
+        if not (0.0 < te < 1.0):
             continue
-        phi = p * math.log(aV + t * da) + (1.0 - p) * math.log(bV + t * db)
+        phi = p * math.log(aV + te * da) + (1.0 - p) * math.log(bV + te * db)
         if phi > best_phi:
-            best_phi = phi
-            best = (e, t)
-    v, t = best
+            best_phi, v, t = phi, e, te
     if t is None:
         idx = np.array([hull[v][2]])
         r = np.array([1.0])
@@ -465,52 +471,121 @@ def _mix_solutions(
     )
 
 
-def _bisect_dual(
-    evaluate, eps: float, side: str, dK: np.ndarray, dN: np.ndarray
+@dataclass
+class _Probe:
+    """One evaluation in a dual search: the dual, its log, the solution, the
+    evaluation's tag, and the side's expectation minus its budget."""
+
+    lam: float
+    u: float
+    sol: _InnerSolution
+    tag: object
+    excess: float
+
+
+def _find_dual(
+    evaluate,
+    side: str,
+    budgets: tuple[float, float],
+    guess: float,
+    dK: np.ndarray,
+    dN: np.ndarray,
 ) -> tuple[float, _InnerSolution, bool, object]:
-    """Bisection on one dual so that the chosen side's expectation meets eps.
+    """Find the dual of one side so that its expectation meets its budget.
 
-    ``evaluate(lam)`` returns (inner solution at that dual, tag); the
-    expectation is nonincreasing in the dual.  Returns (dual, solution,
-    converged, tag of the last evaluation).  A constraint already satisfied
-    at dual 0 is dropped; if even ``_LAMBDA_MAX`` cannot meet the budget the
-    best iterate is returned with converged = False.
+    ``evaluate(lam)`` returns (inner solution at that dual, tag); the side's
+    expectation is nonincreasing in the dual.  ``budgets`` is (eps_K, eps_N),
+    +inf on a side this search leaves to another; the bracket search starts
+    at ``guess`` > 0.  Returns (dual, solution, converged, tag of the
+    evaluation the solution came from).  A budget already met at dual 0 is
+    dropped; if even ``_LAMBDA_MAX`` cannot meet it, that evaluation is
+    returned with converged = False.  Otherwise the solution meets this
+    side's budget, within ``_RESIDUAL_TOL`` of it unless time-shared at a
+    jump.
     """
+    eps = budgets[0] if side == "K" else budgets[1]
 
-    def errval(sol: _InnerSolution) -> float:
-        return sol.E_K if side == "K" else sol.E_N
+    def probe(lam: float) -> _Probe:
+        sol, tag = evaluate(lam)
+        excess = (sol.E_K if side == "K" else sol.E_N) - eps
+        return _Probe(lam, math.log(lam) if lam > 0.0 else -math.inf, sol, tag, excess)
 
-    lo_lam = 0.0
-    lo_sol, tag = evaluate(0.0)
-    if errval(lo_sol) <= eps + _RESIDUAL_TOL:
-        return 0.0, lo_sol, True, tag
-    hi_lam = _LAMBDA_MAX
-    hi_sol, tag = evaluate(hi_lam)
-    if errval(hi_sol) > eps + _RESIDUAL_TOL:
-        return hi_lam, hi_sol, False, tag
-    if abs(errval(hi_sol) - eps) <= _RESIDUAL_TOL:
-        return hi_lam, hi_sol, True, tag
-    for _ in range(_MAX_ITERATIONS):
-        mid = 0.5 * (lo_lam + hi_lam)
-        sol, tag = evaluate(mid)
-        err = errval(sol)
-        if abs(err - eps) <= _RESIDUAL_TOL:
-            return mid, sol, True, tag
-        if err > eps:
-            lo_lam, lo_sol = mid, sol
+    lo = probe(0.0)
+    if lo.excess <= 0.0:
+        return 0.0, lo.sol, True, lo.tag
+    # Bracket the root: from the guess, step down while feasible or up while
+    # not, doubling the step in ln(lambda) each time.
+    u_min, u_max = math.log(_JUMP_WIDTH), math.log(_LAMBDA_MAX)
+    hi = None
+    pt = probe(min(max(guess, _JUMP_WIDTH), _LAMBDA_MAX))
+    u, step = pt.u, 1.0
+    direction = -1.0 if pt.excess <= 0.0 else 1.0
+    while True:
+        if pt.excess <= 0.0:
+            if pt.excess >= -_RESIDUAL_TOL:
+                return pt.lam, pt.sol, True, pt.tag
+            hi = pt
         else:
-            hi_lam, hi_sol = mid, sol
-        if hi_lam - lo_lam <= 1e-12 * max(1.0, hi_lam):
+            lo = pt
+        if hi is not None and (lo.lam > 0.0 or hi.lam == _JUMP_WIDTH):
             break
-    # The expectation jumps across the bracket (support switch): time-share
-    # the two bracket ends so the budget binds exactly.
-    ea, eb = errval(lo_sol), errval(hi_sol)
-    if math.isinf(ea) or ea <= eb:
-        tau = 0.0
-    else:
-        tau = min(1.0, max(0.0, (eps - eb) / (ea - eb)))
-    mixed = _mix_solutions(lo_sol, hi_sol, tau, dK, dN)
-    return 0.5 * (lo_lam + hi_lam), mixed, True, tag
+        if lo.lam == _LAMBDA_MAX:
+            return lo.lam, lo.sol, False, lo.tag
+        u += direction * step
+        step *= 2.0
+        pt = probe(_JUMP_WIDTH if u <= u_min else _LAMBDA_MAX if u >= u_max else math.exp(u))
+    # Brent's zeroin on excess(u): b is the best iterate, c the bracket end
+    # of opposite sign, a the previous b.  Feasible means excess <= 0, so
+    # the feasible end of the bracket is the one with the larger dual.
+    min_step = 0.5 * _JUMP_WIDTH
+    b, c = hi, lo
+    a = c
+    d = e = b.u - a.u
+    for _ in range(_MAX_ITERATIONS):
+        lo, hi = (b, c) if b.excess > 0.0 else (c, b)
+        if hi.lam - lo.lam <= _JUMP_WIDTH * max(1.0, hi.lam):
+            break
+        if abs(c.excess) < abs(b.excess):
+            a, b, c = b, c, b
+        xm = 0.5 * (c.u - b.u)
+        fa, fb, fc = a.excess, b.excess, c.excess
+        bisect = True
+        if abs(e) >= min_step and math.isfinite(fa) and math.isfinite(fc) and abs(fa) > abs(fb):
+            s = fb / fa
+            if a is c:  # two distinct iterates: secant step
+                p, q = 2.0 * xm * s, 1.0 - s
+            else:  # inverse quadratic interpolation
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * xm * q * (q - r) - (b.u - a.u) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            # Accept the step only if it stays well inside the bracket and
+            # shrinks faster than the step before last.
+            if 2.0 * p < 3.0 * xm * q - abs(min_step * q) and p < abs(0.5 * e * q):
+                e, d = d, p / q
+                bisect = False
+        if bisect:
+            d = e = xm
+        a = b
+        b = probe(math.exp(b.u + (d if abs(d) > min_step else math.copysign(min_step, xm))))
+        if -_RESIDUAL_TOL <= b.excess <= 0.0:
+            return b.lam, b.sol, True, b.tag
+        if (b.excess > 0.0) == (c.excess > 0.0):
+            c = a
+            d = e = b.u - a.u
+    lo, hi = (b, c) if b.excess > 0.0 else (c, b)
+    # The expectation jumps across the bracket (a support switch): time-share
+    # its ends so the budget binds, then move weight to the feasible end
+    # until the mixture meets every budget in floating point.
+    tau = 0.0 if math.isinf(lo.excess) else -hi.excess / (lo.excess - hi.excess)
+    shrink = 0.0
+    while True:
+        mixed = _mix_solutions(lo.sol, hi.sol, tau * (1.0 - shrink), dK, dN)
+        if shrink == 1.0 or (mixed.E_K <= budgets[0] and mixed.E_N <= budgets[1]):
+            return 0.5 * (lo.lam + hi.lam), mixed, True, hi.tag
+        shrink = min(1.0, max(2.0 * shrink, 2.0**-52))
 
 
 def _zero_rate_solution(
@@ -576,9 +651,11 @@ def _build_grid(metric_K: ErrorMetric, metric_N: ErrorMetric, eps_K: float) -> n
 
 
 def _distribution_from(grid: np.ndarray, idx: np.ndarray, masses: np.ndarray):
-    atoms = [(float(grid[g]), float(w)) for g, w in zip(idx, masses) if w > 0.0]
-    total = math.fsum(w for _, w in atoms)
-    return DiscreteDistribution(tuple((x, w / total) for x, w in atoms))
+    # Not renormalized: the budgets were checked on exactly these masses,
+    # which sum to 1 within a few ulps.
+    return DiscreteDistribution(
+        tuple((float(grid[g]), float(w)) for g, w in zip(idx, masses) if w > 0.0)
+    )
 
 
 def solve_rp(
@@ -591,10 +668,13 @@ def solve_rp(
     """Minimize f_p over score pairs meeting both error budgets.
 
     The score space is discretized on a fixed grid; the two dual
-    multipliers are found by nested bisection (outer on the key budget,
-    inner on the non-key budget), with each inner Lagrangian minimized
-    exactly.  A budget already satisfied at dual 0 is dropped.  Jointly
-    feasible budgets short-circuit to rate 0 with mu_K = mu_N.
+    multipliers are found by a nested search (outer on the key budget,
+    inner on the non-key budget), each bracketing its root in ln(lambda)
+    from a warm guess and refining it by Brent's method, with each inner
+    Lagrangian minimized exactly.  A budget already satisfied at dual 0 is
+    dropped.  Jointly feasible budgets short-circuit to rate 0 with
+    mu_K = mu_N.  The returned laws meet both budgets in floating point, so
+    the rate is never below R_p.
 
     Deterministic: the same inputs always produce the same FrontierPoint.
     """
@@ -628,15 +708,23 @@ def solve_rp(
         rho = _distribution_from(grid, np.nonzero(common)[0], common[common > 0.0])
         return FrontierPoint(p, eps_K, eps_N, 0.0, rho, rho, 0.0, 0.0, True)
 
+    lamN_guess = 1.0
+
     def outer_eval(lamK: float) -> tuple[_InnerSolution, tuple[float, bool]]:
-        lamN, sol, ok, _ = _bisect_dual(
+        # Warm start: the inner dual of the previous outer evaluation.
+        nonlocal lamN_guess
+        lamN, sol, ok, _ = _find_dual(
             lambda lamN: (_inner_solve(p, dK, dN, lamK, lamN), None),
-            eps_N, "N", dK, dN,
+            "N", (math.inf, eps_N), lamN_guess, dK, dN,
         )
+        if lamN > 0.0:
+            lamN_guess = lamN
         return sol, (lamN, ok)
 
-    # dual_N is the inner dual found at the outer search's last evaluation.
-    lamK, sol, okK, (lamN, okN) = _bisect_dual(outer_eval, eps_K, "K", dK, dN)
+    # dual_N is the inner dual of the outer evaluation that gave the solution.
+    lamK, sol, okK, (lamN, okN) = _find_dual(
+        outer_eval, "K", (eps_K, eps_N), 1.0, dK, dN
+    )
     converged = okK and okN
     rate = f_p_masses(p, sol.mK, sol.mN)
     mu_K = _distribution_from(grid, sol.idx, sol.mK)

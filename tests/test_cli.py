@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import pytest
 
@@ -216,9 +217,12 @@ class TestFrontier:
         cells = out.splitlines()[1].split(",")
         assert cells[:3] == ["0.001", "0.1", "0.2"]
         rate, dual_K, dual_N = (float(c) for c in cells[3:6])
-        assert rate == pytest.approx(3.5481850404807913, abs=1e-12)
-        assert dual_K == pytest.approx(5.7220458984375, abs=1e-12)
-        assert dual_N == pytest.approx(7.171358447521925, abs=1e-12)
+        assert rate == pytest.approx(3.548182296485591, abs=1e-12)
+        assert dual_K == pytest.approx(5.8012027636323555, abs=1e-12)
+        assert dual_N == pytest.approx(7.171344803082738, abs=1e-12)
+        # f_p of the feasible closed-form pair delta_{x*} against
+        # (1-q*) delta_0 + q* delta_{x*} at this p.
+        assert rate == pytest.approx(3.5481822961, abs=1e-8)
         assert cells[6] == "true"
 
     def test_nan_budget_is_domain_error(self, capsys):
@@ -307,6 +311,24 @@ class TestFilterLifecycle:
         assert lo <= 0.5 <= hi
         assert abs(doc["fpr_hat"] - 0.5) <= 3.0 * math.sqrt(0.25 / 100_000)
         assert doc["trials"] == 100000
+
+    def test_bench_refuses_oversized_trials(self, capsys, keys_file, built_filter):
+        start = time.perf_counter()
+        rc, out, err = run(
+            capsys,
+            "filter",
+            "bench",
+            "--state",
+            str(built_filter),
+            "--keys",
+            str(keys_file),
+            "--trials",
+            "1000000000000",
+        )
+        assert time.perf_counter() - start < 1.0
+        assert rc == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "domain"
 
     def test_bench_text_report(self, capsys, keys_file, built_filter):
         rc, out, _ = run(

@@ -1,5 +1,6 @@
 """Tests for frontier solving, closed forms, and the rate bounds."""
 
+import itertools
 import json
 import math
 
@@ -26,6 +27,7 @@ from membound import (
     solve_rp,
     wasserstein1,
 )
+from membound import cli, rate_distortion
 from membound.rate_distortion import (
     FRONTIER_CSV_HEADER,
     frontier_sidecar,
@@ -323,11 +325,17 @@ class TestSolveRpBinary:
 
     def test_readme_example_pinned(self):
         point = solve_rp(0.001, ErrorMetric.fnr(), ErrorMetric.fpr(), 0.1, 0.1)
-        assert point.rate_bits_per_key == pytest.approx(2.5308298679238206, abs=1e-12)
+        assert point.rate_bits_per_key == pytest.approx(2.53082252915013, abs=1e-12)
         (x0, w0), (x1, w1) = point.mu_N.atoms
         assert (x0, x1) == (0.0, 1.0)
-        assert w0 == pytest.approx(0.9000002769163101, abs=1e-12)
-        assert w1 == pytest.approx(0.0999997230836899, abs=1e-12)
+        assert w0 == pytest.approx(0.9000000000295847, abs=1e-12)
+        assert w1 == pytest.approx(0.09999999997041531, abs=1e-12)
+        # The exact frontier f_p(0.001, Bern(0.9), Bern(0.1)) and its law.
+        closed = 2.530822528719886
+        assert _binary_frontier(0.001, 0.1, 0.1) == pytest.approx(closed, abs=1e-12)
+        assert closed <= point.rate_bits_per_key <= closed + 1e-7
+        assert abs(w0 - 0.9) <= 1e-8
+        assert abs(w1 - 0.1) <= 1e-8
 
     def test_nan_budgets_rejected(self):
         metric_pairs = (
@@ -479,6 +487,130 @@ class TestSolveRpLogloss:
         non_pen = sum(w * metric_value(metric_N, x) for x, w in point.mu_N.atoms)
         assert key_pen <= 0.21 + 1e-6
         assert non_pen <= 0.3 + 1e-6
+
+
+def _binary_frontier(p, eps_K, eps_N):
+    """f_p(p, Bern(1 - eps_K), Bern(eps_N)) in bits, with plain math: the
+    exact binary frontier, since both budgets bind."""
+    a, b = 1.0 - eps_K, eps_N
+    c = p * a + (1.0 - p) * b
+
+    def kl(x, y):
+        return math.fsum(
+            u * math.log2(u / v) for u, v in ((x, y), (1.0 - x, 1.0 - y)) if u > 0.0
+        )
+
+    return kl(a, c) + (1.0 - p) / p * kl(b, c)
+
+
+def _logloss_pair_price(p, eps_K, eps_N):
+    """f_p of the feasible closed-form log-loss pair, with plain math:
+    mu_K = delta_x, mu_N = (1-q) delta_0 + q delta_x, x = e^-eps_K,
+    q = eps_N / -ln(1 - x)."""
+    x = math.exp(-eps_K)
+    q = eps_N / -math.log1p(-x)
+    at_x = p + (1.0 - p) * q
+    kl_N = (1.0 - q) * math.log2(1.0 / (1.0 - p)) + q * math.log2(q / at_x)
+    return math.log2(1.0 / at_x) + (1.0 - p) / p * kl_N
+
+
+def _budget_excess(point, metric_K, metric_N):
+    """Largest math.fsum penalty of a returned law minus its budget."""
+    used_K = math.fsum(w * metric_value(metric_K, x) for x, w in point.mu_K.atoms)
+    used_N = math.fsum(w * metric_value(metric_N, x) for x, w in point.mu_N.atoms)
+    return max(used_K - point.eps_K, used_N - point.eps_N)
+
+
+@pytest.fixture(scope="module")
+def cli_sweep():
+    """The CLI sweep sweep:0.001,0.1,25,log at binary budgets (0.05, 0.05):
+    (point, exact inner solves it took) per density."""
+    calls = [0]
+    real = rate_distortion._inner_solve
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    out = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rate_distortion, "_inner_solve", counting)
+        for p in cli._parse_p_values("sweep:0.001,0.1,25,log"):
+            before = calls[0]
+            point = solve_rp(p, ErrorMetric.fnr(), ErrorMetric.fpr(), 0.05, 0.05)
+            out.append((point, calls[0] - before))
+    return out
+
+
+class TestExactFrontier:
+    """The returned laws meet both budgets in floating point, so no rate can
+    fall below the exact frontier."""
+
+    def _check_binary(self, point):
+        # 1e-12 covers rounding between two evaluations of the same f_p.
+        closed = _binary_frontier(point.p, point.eps_K, point.eps_N)
+        assert closed - 1e-12 <= point.rate_bits_per_key <= closed + 1e-7
+        assert _budget_excess(point, ErrorMetric.fnr(), ErrorMetric.fpr()) <= 0.0
+
+    def test_cli_sweep(self, cli_sweep):
+        assert len(cli_sweep) == 25
+        for point, _ in cli_sweep:
+            self._check_binary(point)
+
+    def test_binary_grid(self, binary_sweep):
+        assert len(binary_sweep) == 48
+        for point in binary_sweep.values():
+            self._check_binary(point)
+
+    def test_logloss_budgets_and_closed_form_pair(self):
+        # The closed-form pair meets both budgets and lies on the solver's
+        # grid (0 and e^-eps_K are grid points), so it bounds the rate.
+        metric_K, metric_N = ErrorMetric.logloss_key(), ErrorMetric.logloss_nonkey()
+        cases = ((1e-3, 0.1, 0.2), (0.1, 0.1, 0.2), (0.6, 0.21, 0.3), (0.05, 0.05, 0.4))
+        for p, eps_K, eps_N in cases:
+            point = solve_rp(p, metric_K, metric_N, eps_K, eps_N)
+            assert point.converged
+            assert _budget_excess(point, metric_K, metric_N) <= 0.0
+            assert point.rate_bits_per_key <= _logloss_pair_price(p, eps_K, eps_N) + 1e-8
+
+    def test_inner_solve_count(self, cli_sweep):
+        # A deterministic work bound for the dual search (not a timing).
+        for point, calls in cli_sweep:
+            assert calls <= 300, (point.p, calls)
+
+
+class TestInnerSolve:
+    def test_matches_brute_force_over_vertices_and_edges(self):
+        # The maximum of phi(a, b) = p ln a + (1-p) ln b over the convex hull
+        # of the points (wK, wN) is at a point or on a segment between two.
+        rng = np.random.default_rng(2024)
+        for case in range(30):
+            n = int(rng.integers(1, 9))
+            dK, dN = rng.uniform(0.0, 2.0, n), rng.uniform(0.0, 2.0, n)
+            if case % 3 == 0:  # coarse values give duplicate points and ties
+                dK, dN = np.round(dK, 0), np.round(dN, 0)
+            p = float(rng.uniform(0.05, 0.95))
+            lamK, lamN = (float(v) for v in rng.uniform(0.1, 4.0, 2))
+            sol = rate_distortion._inner_solve(p, dK, dN, lamK, lamN)
+            wK = [2.0 ** (-lamK * d) for d in dK]
+            wN = [2.0 ** (-(p / (1.0 - p)) * lamN * d) for d in dN]
+            # mu = r * w / a with sum(r) = 1 gives a = 1 / sum(mu / w).
+            a = 1.0 / math.fsum(m / wK[i] for i, m in zip(sol.idx, sol.mK))
+            b = 1.0 / math.fsum(m / wN[i] for i, m in zip(sol.idx, sol.mN))
+
+            def phi(x, y):
+                return p * math.log(x) + (1.0 - p) * math.log(y)
+
+            best = max(phi(x, y) for x, y in zip(wK, wN))
+            for i, j in itertools.combinations(range(n), 2):
+                da, db = wK[j] - wK[i], wN[j] - wN[i]
+                if da * db == 0.0:
+                    continue
+                # phi is concave along the segment; its stationary point:
+                t = -(p * da * wN[i] + (1.0 - p) * db * wK[i]) / (da * db)
+                if 0.0 < t < 1.0:
+                    best = max(best, phi(wK[i] + t * da, wN[i] + t * db))
+            assert phi(a, b) == pytest.approx(best, rel=1e-12, abs=1e-12)
 
 
 @pytest.fixture(scope="module")
