@@ -251,16 +251,21 @@ class BuildReport:
     success: bool
 
 
-def _hash_rows(params: FilterParams, elements: Sequence[bytes]) -> np.ndarray:
-    """Hash rows in GF(q)^m for each element, as an int64 matrix."""
-    field = PrimeField(params.q)
-    out = np.empty((len(elements), params.m), dtype=np.int64)
-    for i, element in enumerate(elements):
+def _require_bytes(elements: Sequence[bytes]) -> None:
+    for element in elements:
         if not isinstance(element, bytes):
             raise DomainError(f"element {element!r} must be a byte string")
-        stream = WordStream(params.seed, _ELEMENT_TAG + element)
-        out[i] = sample_field_elements(stream, field, 0, params.m)
-    return out
+
+
+def _hash_rows(params: FilterParams, elements: Sequence[bytes]) -> np.ndarray:
+    """Hash rows in GF(q)^m for each element, as an int64 matrix.
+
+    Every element is checked before any is hashed; the rows then come from
+    one batched ``sample_field_elements`` call over the elements' streams.
+    """
+    _require_bytes(elements)
+    streams = [WordStream(params.seed, _ELEMENT_TAG + e) for e in elements]
+    return sample_field_elements(streams, PrimeField(params.q), 0, params.m)
 
 
 def build(
@@ -339,6 +344,7 @@ def query(state: FilterState, element: bytes) -> int:
 def query_many(state: FilterState, elements: Sequence[bytes]) -> np.ndarray:
     """Vectorized ``query`` over a sequence of elements."""
     params = state.params
+    _require_bytes(elements)
     y = state.y.as_array()
     out = np.empty(len(elements), dtype=np.int64)
     for lo in range(0, len(elements), _BATCH):

@@ -18,9 +18,12 @@ whether hashed element rows lie in its kernel.  This module provides:
   ``_PANEL`` columns, updates the rows above and below with one
   ``matmul_mod`` product per panel, and stops at the first free column;
 * ``WordStream`` -- a pure, keyed 64-bit word source (blake2b absorption +
-  splitmix64 counter expansion) and rejection sampling of field elements,
-  both over arrays of draws (the one-draw calls wrap them), so every hash
-  row is reproducible from (seed, element bytes) alone.
+  splitmix64 counter expansion), so every hash row is reproducible from
+  (seed, element bytes) alone;
+* ``sample_field_elements`` -- rejection sampling of field elements from one
+  stream or from a batch of streams at once, in cache-sized blocks mixed
+  and reduced in place.  The stream's words and the sampler share one
+  splitmix64 mixer, and the one-draw calls wrap the array calls.
 """
 
 from __future__ import annotations
@@ -351,6 +354,29 @@ def nullspace_vector(
     return None if y is None else FieldVector.from_array(field, y)
 
 
+def _splitmix64(bases, indices, attempt, out, scratch=None) -> np.ndarray:
+    """``out`` = splitmix64(base + golden * ((index << 8 | attempt) + 1)).
+
+    The one mixer behind every stream word.  ``bases`` and ``indices`` are
+    uint64 arrays (or scalars) that broadcast to the uint64 array ``out``,
+    which is filled in place; ``scratch``, when given, is a uint64 array of
+    at least ``out.size`` words for the shifted copies.
+    """
+    if not (0 <= operator.index(attempt) < 256):
+        raise DomainError(f"attempt {attempt!r} out of range")
+    ctrs = (indices << np.uint64(8)) | np.uint64(attempt)
+    np.add(bases, np.uint64(_GOLDEN) * (ctrs + np.uint64(1)), out=out)
+    shifted = (
+        np.empty_like(out) if scratch is None else scratch[: out.size].reshape(out.shape)
+    )
+    for shift, mult in ((30, _MIX1), (27, _MIX2)):
+        np.right_shift(out, np.uint64(shift), out=shifted)
+        np.bitwise_xor(out, shifted, out=out)
+        np.multiply(out, np.uint64(mult), out=out)
+    np.right_shift(out, np.uint64(31), out=shifted)
+    return np.bitwise_xor(out, shifted, out=out)
+
+
 @dataclass(frozen=True)
 class WordStream:
     """A pure stream of 64-bit words keyed by ``(seed, label)``.
@@ -385,25 +411,30 @@ class WordStream:
         return self._mix(indices.astype(np.uint64), attempt)
 
     def word_block(self, start: int, count: int, attempt: int = 0) -> np.ndarray:
-        start, count = operator.index(start), operator.index(count)
-        if not (0 <= start and 0 <= count and start + count <= 1 << 56):
-            raise DomainError(f"draws {start!r}..+{count!r} outside [0, 2**56)")
+        start, count = _draw_range(start, count)
         return self._mix(np.arange(start, start + count, dtype=np.uint64), attempt)
 
     def _mix(self, indices: np.ndarray, attempt: int) -> np.ndarray:
-        """splitmix64 of base + golden * ((index << 8 | attempt) + 1), per index."""
-        if not (0 <= operator.index(attempt) < 256):
-            raise DomainError(f"attempt {attempt!r} out of range")
-        ctrs = (indices << np.uint64(8)) | np.uint64(attempt)
-        z = np.uint64(self._base) + np.uint64(_GOLDEN) * (ctrs + np.uint64(1))
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        return z ^ (z >> np.uint64(31))
+        out = np.empty(indices.shape, dtype=np.uint64)
+        return _splitmix64(np.uint64(self._base), indices, attempt, out)
+
+
+def _draw_range(start: int, count: int) -> tuple[int, int]:
+    """``(start, count)`` as ints, checked to address draws below 2**56."""
+    start, count = operator.index(start), operator.index(count)
+    if not (0 <= start and 0 <= count and start + count <= 1 << 56):
+        raise DomainError(f"draws {start!r}..+{count!r} outside [0, 2**56)")
+    return start, count
 
 
 def _rejection_threshold(q: int) -> int:
     """Largest multiple of q that fits the draw range [0, 2**64)."""
     return q * ((1 << 64) // q)
+
+
+# Words per block of the sampling kernel (512 KB): a block and its scratch
+# stay in a core's L2 cache through the mixing, rejection and reduction.
+_BLOCK = 1 << 16
 
 
 def sample_field_element(stream: WordStream, field: PrimeField, index: int = 0) -> int:
@@ -412,26 +443,64 @@ def sample_field_element(stream: WordStream, field: PrimeField, index: int = 0) 
 
 
 def sample_field_elements(
-    stream: WordStream, field: PrimeField, start: int, count: int
+    stream: WordStream | Sequence[WordStream],
+    field: PrimeField,
+    start: int,
+    count: int,
 ) -> np.ndarray:
     """Uniform elements of GF(q) from draws start..start+count-1.
 
     Draw i takes the word at attempt 0 and, while that word is at or above
     the largest multiple of q below 2**64, the word at the next attempt, up
-    to attempt 255; so the result is exactly uniform.
+    to attempt 255; so the result is exactly uniform.  One stream gives
+    shape ``(count,)``; a sequence of streams gives a ``(len, count)`` int64
+    array whose row i equals the one-stream call on stream i.
+
+    The output is filled in blocks of ``_BLOCK`` words (whole rows while
+    they fit, else column chunks of one row): each block is mixed in place,
+    its rejected words are redrawn as (row, column) pairs, and it is reduced
+    mod q before the next block starts.
     """
-    q = field.q
-    words = stream.word_block(start, count)
-    if (1 << 64) % q == 0:  # q = 2: every word is accepted
-        return (words % np.uint64(q)).astype(np.int64)
-    threshold = np.uint64(_rejection_threshold(q))
-    pending = np.flatnonzero(words >= threshold)
-    for attempt in range(1, 256):
-        if pending.size == 0:
-            break
-        redrawn = stream.words_at(pending + start, attempt)
-        words[pending] = redrawn
-        pending = pending[redrawn >= threshold]
-    if pending.size:
-        raise RuntimeError("rejection sampling did not terminate in 256 attempts")
-    return (words % np.uint64(q)).astype(np.int64)
+    single = isinstance(stream, WordStream)
+    streams = [stream] if single else list(stream)
+    if not all(isinstance(s, WordStream) for s in streams):
+        raise DomainError("streams must be WordStream instances")
+    start, count = _draw_range(start, count)
+    q = np.uint64(field.q)
+    # 0 when q = 2, where 2**64 itself is the threshold.
+    threshold = np.uint64(_rejection_threshold(field.q) % (1 << 64))
+    bases = np.array([s._base for s in streams], dtype=np.uint64).reshape(-1, 1)
+    out = np.empty((len(streams), count), dtype=np.int64)
+    words = out.view(np.uint64)
+    rows = max(1, _BLOCK // max(count, 1))
+    width = max(1, min(count, _BLOCK))
+    scratch = np.empty(min(len(streams), rows) * width, dtype=np.uint64)
+    for c0 in range(0, count, width):
+        indices = np.arange(start + c0, start + min(c0 + width, count), dtype=np.uint64)
+        for r0 in range(0, len(streams), rows):
+            block = words[r0 : r0 + rows, c0 : c0 + width]
+            base = bases[r0 : r0 + rows]
+            _splitmix64(base, indices, 0, block, scratch)
+            if not threshold:  # q = 2 accepts every word; mod 2 is the low bit
+                np.bitwise_and(block, np.uint64(1), out=block)
+                continue
+            if block.max() >= threshold:
+                i, j = np.nonzero(block >= threshold)
+                for attempt in range(1, 256):
+                    redrawn = np.empty(i.size, dtype=np.uint64)
+                    _splitmix64(base[i, 0], indices[j], attempt, redrawn)
+                    block[i, j] = redrawn
+                    keep = redrawn >= threshold
+                    i, j = i[keep], j[keep]
+                    if i.size == 0:
+                        break
+                else:
+                    raise RuntimeError(
+                        "rejection sampling did not terminate in 256 attempts"
+                    )
+            # block mod q, through numpy's fast division by a constant.
+            quotient = scratch[: block.size].reshape(block.shape)
+            np.floor_divide(block, q, out=quotient)
+            np.multiply(quotient, q, out=quotient)
+            np.subtract(block, quotient, out=block)
+    return out[0] if single else out

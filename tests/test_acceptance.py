@@ -68,9 +68,13 @@ class TestClosedFormBinaryRates:
     def test_rates_and_runtime(self):
         cases = {0.5: 1.0, 0.25: 2.0, 2.0**-10: 10.0}
         optimal_binary(0.0, 0.5)  # warm
-        start = time.perf_counter()
-        rates = {eps_N: optimal_binary(0.0, eps_N).rate_bits_per_key for eps_N in cases}
-        elapsed = time.perf_counter() - start
+        # Best of 5 repeats: one timing of three calls is at the mercy of
+        # a clock-speed switch or a preemption.
+        elapsed = math.inf
+        for _ in range(5):
+            start = time.perf_counter()
+            rates = {eps_N: optimal_binary(0.0, eps_N).rate_bits_per_key for eps_N in cases}
+            elapsed = min(elapsed, time.perf_counter() - start)
         for eps_N, expected in cases.items():
             assert rates[eps_N] == pytest.approx(expected, abs=1e-9)
             assert expected == math.log2(1.0 / eps_N)

@@ -258,6 +258,23 @@ class TestQuery:
         assert answers.shape == (2 * _BATCH,)
         assert peak < 1.5 * batch_rows
 
+    def test_elements_checked_before_any_hashing(self, built_12_seed0, monkeypatch):
+        _, state, _ = built_12_seed0
+        calls = []
+        sample = F.sample_field_elements
+
+        def counted(*args):
+            calls.append(args)
+            return sample(*args)
+
+        monkeypatch.setattr(F, "sample_field_elements", counted)
+        elements = [b"k%d" % i for i in range(5000)] + ["str"]
+        with pytest.raises(DomainError):
+            query_many(state, elements)
+        assert calls == []
+        assert query_many(state, elements[:-1]).shape == (5000,)
+        assert len(calls) == 2  # one batched call per _BATCH elements
+
     def test_hyperplane_accepts_exactly_one_in_q(self):
         # y = (1, 0, 1) over GF(2): rows with row[0] = row[2] pass -> 4 of 8.
         assert self._accept_count(2, (1, 0, 1)) == 4

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import reference_dot, reference_element, reference_word
+from conftest import reference_dot, reference_element, reference_row, reference_word
 
 from membound import (
     DomainError,
@@ -19,7 +19,9 @@ from membound import (
     nullspace_vector,
     sample_field_element,
 )
+from membound import galois
 from membound.galois import (
+    _BLOCK,
     _PANEL,
     _rejection_threshold,
     dot,
@@ -506,32 +508,36 @@ class TestWordStream:
             sample_field_elements(stream, PrimeField(3), 0.5, 4)
 
 
-class _ForcedRejection:
-    """Word source whose first ``rejected`` attempts at index 0 give 2**64 - 1.
+class _ForcedRejection(WordStream):
+    """A stream whose first ``rejected`` attempts at draw ``index`` give 2**64 - 1.
 
     2**64 - 1 lies at or above the acceptance threshold for every q > 2, so
-    sampling at index 0 must fall through to attempt ``rejected``.
+    sampling that draw must fall through to attempt ``rejected``.  The
+    sampler reads only a stream's base and takes every word from
+    ``galois._splitmix64``, so the constructor patches that mixer to force
+    the word wherever it mixes this stream's base at ``index``.  ``word`` is
+    the plain-int reference with the same forcing.
     """
 
-    def __init__(self, inner, rejected=1):
-        self.inner = inner
-        self.rejected = rejected
+    def __init__(self, monkeypatch, seed, label, rejected=1, index=0):
+        super().__init__(seed, label)
+        object.__setattr__(self, "rejected", rejected)
+        object.__setattr__(self, "index", index)
+        mix, base = galois._splitmix64, np.uint64(self._base)
+
+        def forced(bases, indices, attempt, out, scratch=None):
+            mix(bases, indices, attempt, out, scratch)
+            if attempt < rejected:
+                hit = (bases == base) & (indices == np.uint64(index))
+                out[np.broadcast_to(hit, out.shape)] = np.uint64((1 << 64) - 1)
+            return out
+
+        monkeypatch.setattr(galois, "_splitmix64", forced)
 
     def word(self, index, attempt=0):
-        if index == 0 and attempt < self.rejected:
+        if index == self.index and attempt < self.rejected:
             return (1 << 64) - 1
-        return reference_word(self.inner.seed, self.inner.label, index, attempt)
-
-    def words_at(self, indices, attempt=0):
-        out = self.inner.words_at(indices, attempt).copy()
-        if attempt < self.rejected:
-            out[indices == 0] = np.uint64((1 << 64) - 1)
-        return out
-
-    def word_block(self, start, count, attempt=0):
-        return self.words_at(
-            np.arange(start, start + count, dtype=np.uint64), attempt
-        )
+        return reference_word(self.seed, self.label, index, attempt)
 
 
 class TestFieldSampling:
@@ -573,8 +579,8 @@ class TestFieldSampling:
                 scalar[:5]
             )
 
-    def test_rejection_retries_next_attempt(self):
-        forced = _ForcedRejection(WordStream(777, b"reject"))
+    def test_rejection_retries_next_attempt(self, monkeypatch):
+        forced = _ForcedRejection(monkeypatch, 777, b"reject")
         for q in (3, 5, 7):
             field = PrimeField(q)
             got = sample_field_element(forced, field, 0)
@@ -583,9 +589,9 @@ class TestFieldSampling:
             scalar = [reference_element(forced.word, q, i) for i in range(40)]
             assert vec.tolist() == scalar
 
-    def test_last_attempt_is_checked(self):
+    def test_last_attempt_is_checked(self, monkeypatch):
         # Attempts 0..254 of draw 0 are rejected, so attempt 255 decides it.
-        forced = _ForcedRejection(WordStream(778, b"reject"), rejected=255)
+        forced = _ForcedRejection(monkeypatch, 778, b"reject", rejected=255)
         word = reference_word(778, b"reject", 0, 255)
         for q in (3, 5, 7):
             field = PrimeField(q)
@@ -596,12 +602,64 @@ class TestFieldSampling:
             assert vec.tolist() == scalar
             assert vec[0] == word % q
 
-    def test_rejection_gives_up_after_256_attempts(self):
-        forced = _ForcedRejection(WordStream(779, b"reject"), rejected=256)
+    def test_rejection_gives_up_after_256_attempts(self, monkeypatch):
+        forced = _ForcedRejection(monkeypatch, 779, b"reject", rejected=256)
         with pytest.raises(RuntimeError):
             sample_field_elements(forced, PrimeField(3), 0, 4)
         with pytest.raises(RuntimeError):
             sample_field_element(forced, PrimeField(3), 0)
+
+
+class TestBatchSampling:
+    """Many streams in one call, on both sides of the kernel's block edges:
+    B rows of m words fill one block, and a row wider than a block is split
+    into column chunks."""
+
+    @pytest.mark.parametrize("q", (2, 3, 4294967291))
+    @pytest.mark.parametrize("m", (1, 81, _BLOCK + 100))
+    def test_rows_match_one_stream_calls_and_reference(self, q, m):
+        per_block = max(1, _BLOCK // m)
+        elements = [b"batch-%d" % i for i in range(per_block + 1)]
+        streams = [WordStream(11, b"E" + e) for e in elements]
+        field = PrimeField(q)
+        want = [reference_row(11, e, q, m) for e in elements]
+        for rows in sorted({0, 1, per_block - 1, per_block, per_block + 1}):
+            got = sample_field_elements(streams[:rows], field, 0, m)
+            assert got.shape == (rows, m) and got.dtype == np.int64
+            assert got.tolist() == want[:rows]
+        # One-stream calls on the rows next to the first block edge.
+        for i in {0, max(0, per_block - 1), per_block}:
+            assert sample_field_elements(streams[i], field, 0, m).tolist() == want[i]
+
+    @pytest.mark.parametrize("q", (3, 4294967291))
+    def test_rejection_inside_the_second_block(self, monkeypatch, q):
+        m, start, seed = 81, 5, 31
+        per_block = _BLOCK // m
+        row, col = per_block + 3, 40  # neither the block's first row nor column
+        labels = [b"E-reject-%d" % i for i in range(2 * per_block)]
+        forced = _ForcedRejection(
+            monkeypatch, seed, labels[row], rejected=2, index=start + col
+        )
+        streams = [WordStream(seed, label) for label in labels]
+        streams[row] = forced
+        field = PrimeField(q)
+        got = sample_field_elements(streams, field, start, m)
+        word = reference_word(seed, labels[row], start + col, 2)
+        assert word < _rejection_threshold(q)
+        assert word % q != reference_word(seed, labels[row], start + col, 0) % q
+        assert got[row, col] == word % q
+        want = [reference_element(forced.word, q, start + j) for j in range(m)]
+        assert got[row].tolist() == want
+        assert sample_field_elements(forced, field, start, m).tolist() == want
+        for i in (0, per_block - 1, per_block, row - 1, row + 1, 2 * per_block - 1):
+            word_i = functools.partial(reference_word, seed, labels[i])
+            assert got[i].tolist() == [
+                reference_element(word_i, q, start + j) for j in range(m)
+            ]
+
+    def test_streams_must_be_word_streams(self):
+        with pytest.raises(DomainError):
+            sample_field_elements([WordStream(1, b"a"), b"b"], PrimeField(3), 0, 4)
 
 
 class TestPinnedHash:
