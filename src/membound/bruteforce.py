@@ -1,16 +1,19 @@
-"""Small-instance oracles that certify the theory by exhaustive counting.
+"""Small-instance oracles that certify the theory by exact counting.
 
 ``exhaustive_fpr`` enumerates every possible hash row and counts exactly
 how many a filter vector accepts — no sampling, no closed form — so it
 independently witnesses the 1/q false-positive rate.
 
-``optimal_tiny_tester`` enumerates every deterministic membership tester
-at tiny universe/key/memory sizes: every assignment of key sets to
-memory states and every acceptance table, scoring each by its exact
-average false-negative and false-positive rates over a uniformly random
-key set.  The returned Pareto frontier bounds what any tester of that
-memory size can achieve, which lets the analytic memory lower bound be
-checked against ground truth.
+``optimal_tiny_tester`` finds the exact error frontier of every
+deterministic membership tester at tiny universe/key/memory sizes: every
+assignment of key sets to memory states and every acceptance table,
+scored by its exact average false-negative and false-positive rates over
+a uniformly random key set.  It enumerates the state assignments and, for
+each, solves the choice of table exactly as a 0/1 knapsack over the
+(state, element) cells instead of enumerating the tables.  The returned
+Pareto frontier bounds what any tester of that memory size can achieve,
+which lets the analytic memory lower bound be checked against ground
+truth.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ __all__ = [
 
 _MAX_ENUMERATION = 10**8
 _MAX_ROW_BITS = 24
-_TABLE_CHUNK = 1 << 16
 
 
 def exhaustive_fpr(y: FieldVector) -> Fraction:
@@ -127,11 +129,11 @@ class ParetoPoint:
 
 def _cell_weights(
     spec: TinyTesterSpec, init: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[list[int], list[int]]:
     """Per-(state, element) counts of key and non-key occurrences."""
     cells = spec.states * spec.u
-    key_w = np.zeros(cells, dtype=np.int64)
-    non_w = np.zeros(cells, dtype=np.int64)
+    key_w = [0] * cells
+    non_w = [0] * cells
     for key_set, state in zip(spec.key_sets, init):
         members = set(key_set)
         base = state * spec.u
@@ -146,41 +148,53 @@ def _cell_weights(
 def optimal_tiny_tester(spec: TinyTesterSpec) -> list[ParetoPoint]:
     """Exact error frontier over every deterministic tiny tester.
 
-    Enumerates all ``states**C(u,n)`` state assignments and all
-    ``2**(states*u)`` acceptance tables, computes each tester's exact
+    Covers all ``states**C(u,n)`` state assignments and all
+    ``2**(states*u)`` acceptance tables, scoring each tester by its exact
     average error pair over a uniformly random key set, and returns the
     Pareto-minimal pairs sorted by increasing FNR.  Witnesses are
-    deterministic: the first (init, table) in enumeration order.
+    deterministic: the first (init, table) in enumeration order, tables
+    ordered by their id ``sum(table[s][e] << (s*u + e))``.
+
+    With the initializer fixed, a table's missed keys and accepted non-keys
+    are sums over independent (state, element) cells, so the tables are not
+    enumerated: a 0/1 knapsack over the cells gives, for every accepted-key
+    count K, the fewest accepted non-keys, and the smallest table id
+    reaching that optimum is rebuilt from the knapsack's prefix rows.
     """
     u, n = spec.u, spec.n
     count = math.comb(u, n)
     cells = spec.states * u
-    table_count = 1 << cells
     total_keys = count * n
 
-    bit_cols = np.arange(cells, dtype=np.uint64)
-    chunks: list[tuple[int, np.ndarray]] = []
-    for lo in range(0, table_count, _TABLE_CHUNK):
-        ids = np.arange(lo, min(lo + _TABLE_CHUNK, table_count), dtype=np.uint64)
-        bits = ((ids[:, None] >> bit_cols[None, :]) & np.uint64(1)).astype(np.int64)
-        chunks.append((lo, bits))
-
-    # fnr numerator -> [fpr numerator, init, table id], first witness kept
-    best: dict[int, list] = {}
+    # fnr numerator -> (fpr numerator, init, table id), first witness kept
+    best: dict[int, tuple[int, tuple[int, ...], int]] = {}
     for init in itertools.product(range(spec.states), repeat=count):
         key_w, non_w = _cell_weights(spec, init)
-        for lo, bits in chunks:
-            fnr_num = total_keys - bits @ key_w
-            fpr_num = bits @ non_w
-            order = np.lexsort(
-                (np.arange(fnr_num.shape[0]), fpr_num, fnr_num)
-            )
-            values, firsts = np.unique(fnr_num[order], return_index=True)
-            for value, at in zip(values.tolist(), order[firsts].tolist()):
-                fpr = int(fpr_num[at])
-                seen = best.get(value)
-                if seen is None or fpr < seen[0]:
-                    best[value] = [fpr, init, lo + at]
+        # rows[c][K]: fewest non-keys accepted by a subset of cells 0..c-1
+        # that accepts exactly K keys (inf when none does).
+        rows = [[0] + [math.inf] * total_keys]
+        for kw, nw in zip(key_w, non_w):
+            prev = rows[-1]
+            row = prev[:]
+            for k in range(kw, total_keys + 1):
+                row[k] = min(prev[k], prev[k - kw] + nw)
+            rows.append(row)
+        for accepted, fpr in enumerate(rows[cells]):
+            fnr = total_keys - accepted
+            if fpr >= best.get(fnr, (math.inf,))[0]:
+                continue
+            # Smallest table id: from the top cell down, leave a cell off
+            # whenever the lower cells alone still reach the optimum.  Every
+            # subset of them needs at least rows[c][k] non-keys for k keys,
+            # so turning a cell on is forced exactly when that exceeds the
+            # remaining budget.
+            table_id, k, nonkeys = 0, accepted, fpr
+            for c in reversed(range(cells)):
+                if rows[c][k] != nonkeys:
+                    table_id |= 1 << c
+                    k -= key_w[c]
+                    nonkeys -= non_w[c]
+            best[fnr] = (fpr, init, table_id)
 
     frontier: list[ParetoPoint] = []
     lowest_fpr = None

@@ -257,15 +257,18 @@ def _require_bytes(elements: Sequence[bytes]) -> None:
             raise DomainError(f"element {element!r} must be a byte string")
 
 
-def _hash_rows(params: FilterParams, elements: Sequence[bytes]) -> np.ndarray:
+def _hash_rows(
+    params: FilterParams, field: PrimeField, elements: Sequence[bytes]
+) -> np.ndarray:
     """Hash rows in GF(q)^m for each element, as an int64 matrix.
 
-    Every element is checked before any is hashed; the rows then come from
-    one batched ``sample_field_elements`` call over the elements' streams.
+    ``field`` is GF(params.q), built once by the caller.  Every element is
+    checked before any is hashed; the rows then come from one batched
+    ``sample_field_elements`` call over the elements' streams.
     """
     _require_bytes(elements)
     streams = [WordStream(params.seed, _ELEMENT_TAG + e) for e in elements]
-    return sample_field_elements(streams, PrimeField(params.q), 0, params.m)
+    return sample_field_elements(streams, field, 0, params.m)
 
 
 def build(
@@ -292,7 +295,7 @@ def build(
         y = FieldVector(field, (1,) + (0,) * (params.m - 1))
         return FilterState(params, y), BuildReport(0, 0, params.bits_payload, True)
 
-    rows = _hash_rows(params, keys)
+    rows = _hash_rows(params, field, keys)
     threshold = params.threshold
 
     if params.eps_K == 0:
@@ -349,7 +352,7 @@ def query_many(state: FilterState, elements: Sequence[bytes]) -> np.ndarray:
     out = np.empty(len(elements), dtype=np.int64)
     for lo in range(0, len(elements), _BATCH):
         chunk = elements[lo : lo + _BATCH]
-        rows = _hash_rows(params, chunk)
+        rows = _hash_rows(params, state.y.field, chunk)
         out[lo : lo + len(chunk)] = matmul_mod(rows, y, params.q) == 0
         del rows  # free this batch before the next one is hashed
     return out

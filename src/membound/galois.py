@@ -28,6 +28,7 @@ whether hashed element rows lie in its kernel.  This module provides:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import operator
@@ -117,7 +118,14 @@ class FieldVector:
         return cls(field, tuple(int(v) for v in np.asarray(arr).tolist()))
 
     def as_array(self) -> np.ndarray:
-        return np.array(self.coords, dtype=np.int64)
+        """The coordinates as a read-only int64 array, built on first use."""
+        return self._array
+
+    @functools.cached_property
+    def _array(self) -> np.ndarray:
+        arr = np.array(self.coords, dtype=np.int64)
+        arr.flags.writeable = False
+        return arr
 
     def __len__(self) -> int:
         return len(self.coords)

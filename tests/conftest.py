@@ -1,17 +1,22 @@
 """Shared test helpers: random distribution pairs and a mutual-information
-reference implementation, used to cross-check the f_p functional, and a
+reference implementation, used to cross-check the f_p functional; a
 plain-int reference of the keyed word stream and its rejection sampling,
-used to check the library's hashing without calling it."""
+used to check the library's hashing without calling it; and an
+enumeration of every tiny tester, used to check the exact tiny-tester
+frontier."""
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import HealthCheck, settings
 
+from membound.bruteforce import ParetoPoint, TinyTesterSpec
 from membound.measures import DiscreteDistribution
 
 settings.register_profile(
@@ -106,3 +111,85 @@ def reference_row(seed: int, element: bytes, q: int, m: int) -> list[int]:
 
 def reference_dot(x, y, q: int) -> int:
     return sum(int(a) * int(b) for a, b in zip(x, y)) % q
+
+
+_TABLE_CHUNK = 1 << 16
+
+
+def _tiny_cell_weights(
+    spec: TinyTesterSpec, init: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-(state, element) counts of key and non-key occurrences."""
+    cells = spec.states * spec.u
+    key_w = np.zeros(cells, dtype=np.int64)
+    non_w = np.zeros(cells, dtype=np.int64)
+    for key_set, state in zip(spec.key_sets, init):
+        members = set(key_set)
+        base = state * spec.u
+        for element in range(spec.u):
+            if element in members:
+                key_w[base + element] += 1
+            else:
+                non_w[base + element] += 1
+    return key_w, non_w
+
+
+def enumerate_tiny_frontier(spec: TinyTesterSpec) -> list[ParetoPoint]:
+    """The tiny-tester frontier by scoring every (init, table) pair.
+
+    Tables are scored in chunks of ``_TABLE_CHUNK`` ids as bit matrices
+    times the cell weights.  For each FNR the witness is the first
+    (init, table id) in enumeration order with the least FPR: within a
+    chunk the smallest id among the least FPR, across chunks and inits
+    only a strictly lower FPR replaces it.
+    """
+    u, n = spec.u, spec.n
+    count = math.comb(u, n)
+    cells = spec.states * u
+    table_count = 1 << cells
+    total_keys = count * n
+
+    bit_cols = np.arange(cells, dtype=np.uint64)
+    chunks: list[tuple[int, np.ndarray]] = []
+    for lo in range(0, table_count, _TABLE_CHUNK):
+        ids = np.arange(lo, min(lo + _TABLE_CHUNK, table_count), dtype=np.uint64)
+        bits = ((ids[:, None] >> bit_cols[None, :]) & np.uint64(1)).astype(np.int64)
+        chunks.append((lo, bits))
+
+    # fnr numerator -> [fpr numerator, init, table id], first witness kept
+    best: dict[int, list] = {}
+    for init in itertools.product(range(spec.states), repeat=count):
+        key_w, non_w = _tiny_cell_weights(spec, init)
+        for lo, bits in chunks:
+            fnr_num = total_keys - bits @ key_w
+            fpr_num = bits @ non_w
+            order = np.lexsort(
+                (np.arange(fnr_num.shape[0]), fpr_num, fnr_num)
+            )
+            values, firsts = np.unique(fnr_num[order], return_index=True)
+            for value, at in zip(values.tolist(), order[firsts].tolist()):
+                fpr = int(fpr_num[at])
+                seen = best.get(value)
+                if seen is None or fpr < seen[0]:
+                    best[value] = [fpr, init, lo + at]
+
+    frontier: list[ParetoPoint] = []
+    lowest_fpr = None
+    for fnr_value in sorted(best):
+        fpr_value, init, table_id = best[fnr_value]
+        if lowest_fpr is not None and fpr_value >= lowest_fpr:
+            continue
+        lowest_fpr = fpr_value
+        table = tuple(
+            tuple((table_id >> (state * u + element)) & 1 for element in range(u))
+            for state in range(spec.states)
+        )
+        frontier.append(
+            ParetoPoint(
+                eps_K=Fraction(fnr_value, total_keys),
+                eps_N=Fraction(fpr_value, count * (u - n)),
+                init=tuple(init),
+                table=table,
+            )
+        )
+    return frontier

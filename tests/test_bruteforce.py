@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import enumerate_tiny_frontier
 
 from membound import (
     DiscreteDistribution,
@@ -90,6 +91,19 @@ class TestTinyTesterSpec:
             TinyTesterSpec(5, 1, 2)  # 4**5 * 2**20 > 10**8
 
 
+def _oracle_specs():
+    """Every guard-admitted spec with at most 2**22 testers, plus (4,1,2)."""
+    specs = []
+    for u, n, bits in itertools.product(range(2, 9), range(1, 4), range(4)):
+        try:
+            spec = TinyTesterSpec(u, n, bits)
+        except (DomainError, EnumerationTooLargeError):
+            continue
+        if spec.enumeration_size <= 2**22:
+            specs.append(spec)
+    return specs + [TinyTesterSpec(4, 1, 2)]
+
+
 def _recomputed_errors(spec, point):
     """Re-score a witness tester with exact arithmetic, from scratch."""
     misses = 0
@@ -160,6 +174,13 @@ class TestOptimalTinyTester:
             for a, b in zip(frontier, frontier[1:]):
                 assert b.eps_K > a.eps_K
                 assert b.eps_N < a.eps_N
+
+    @pytest.mark.parametrize(
+        "spec", _oracle_specs(), ids=lambda s: f"{s.u}-{s.n}-{s.memory_bits}"
+    )
+    def test_matches_enumeration_of_every_tester(self, spec):
+        # Witnesses included: the first (init, table id) with the least FPR.
+        assert optimal_tiny_tester(spec) == enumerate_tiny_frontier(spec)
 
     def test_deterministic(self):
         spec = TinyTesterSpec(4, 2, 1)

@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import membound.filter as F
+import membound.galois as galois
 from membound import (
     DomainError,
     FileFormatError,
@@ -274,6 +275,25 @@ class TestQuery:
         assert calls == []
         assert query_many(state, elements[:-1]).shape == (5000,)
         assert len(calls) == 2  # one batched call per _BATCH elements
+
+    def test_field_built_once_per_call(self, built_12_seed0, monkeypatch):
+        params, state, _ = built_12_seed0
+        calls = []
+        is_prime = galois.is_prime
+
+        def counted(n):
+            calls.append(n)
+            return is_prime(n)
+
+        monkeypatch.setattr(galois, "is_prime", counted)
+        elements = [b"k%d" % i for i in range(5000)]
+        rows = [reference_row(params.seed, e, params.q, params.m) for e in elements]
+        expected = [int(reference_dot(r, state.y.coords, params.q) == 0) for r in rows]
+        for _ in range(2):  # the second call reuses y's cached array
+            assert query_many(state, elements).tolist() == expected
+        assert calls == []
+        build(params, KEYS12)
+        assert calls == [params.q]
 
     def test_hyperplane_accepts_exactly_one_in_q(self):
         # y = (1, 0, 1) over GF(2): rows with row[0] = row[2] pass -> 4 of 8.

@@ -87,6 +87,16 @@ class TestFieldVector:
         assert np.array_equal(vec.as_array(), np.array([1, 0, 6, 3]))
         assert len(vec) == 4
 
+    def test_as_array_is_built_once_and_read_only(self):
+        vec = FieldVector(PrimeField(4294967291), (4294967290, 0, 7))
+        arr = vec.as_array()
+        assert vec.as_array() is arr
+        assert arr.dtype == np.int64 and arr.tolist() == [4294967290, 0, 7]
+        with pytest.raises(ValueError):
+            arr[0] = 1
+        assert vec == FieldVector(PrimeField(4294967291), (4294967290, 0, 7))
+        assert hash(vec) == hash(FieldVector(PrimeField(4294967291), vec.coords))
+
     def test_rejects_out_of_field_coords(self):
         field = PrimeField(3)
         with pytest.raises(FieldError):
