@@ -50,8 +50,6 @@ from .galois import (
     PrimeField,
     WordStream,
     is_prime,
-    nullspace_vector,
-    sample_field_element,
 )
 from .filter import (
     BuildReport,
@@ -117,8 +115,6 @@ __all__ = [
     "FieldVector",
     "WordStream",
     "is_prime",
-    "nullspace_vector",
-    "sample_field_element",
     # filter
     "FilterParams",
     "FilterState",

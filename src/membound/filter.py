@@ -240,6 +240,13 @@ class FilterState:
         if self.y.is_zero():
             raise DomainError("the filter vector y must be nonzero")
 
+    @cached_property
+    def _support(self) -> tuple[np.ndarray, np.ndarray]:
+        """The columns where ``y`` is nonzero, and ``y`` on them, built on first use."""
+        y = self.y.as_array()
+        columns = np.flatnonzero(y)
+        return columns, y[columns]
+
 
 @dataclass(frozen=True)
 class BuildReport:
@@ -258,17 +265,21 @@ def _require_bytes(elements: Sequence[bytes]) -> None:
 
 
 def _hash_rows(
-    params: FilterParams, field: PrimeField, elements: Sequence[bytes]
+    params: FilterParams,
+    field: PrimeField,
+    elements: Sequence[bytes],
+    columns: np.ndarray | None = None,
 ) -> np.ndarray:
     """Hash rows in GF(q)^m for each element, as an int64 matrix.
 
     ``field`` is GF(params.q), built once by the caller.  Every element is
     checked before any is hashed; the rows then come from one batched
-    ``sample_field_elements`` call over the elements' streams.
+    ``sample_field_elements`` call over the elements' streams, restricted
+    to ``columns`` when given.
     """
     _require_bytes(elements)
     streams = [WordStream(params.seed, _ELEMENT_TAG + e) for e in elements]
-    return sample_field_elements(streams, field, 0, params.m)
+    return sample_field_elements(streams, field, 0, params.m, columns)
 
 
 def build(
@@ -345,14 +356,19 @@ def query(state: FilterState, element: bytes) -> int:
 
 
 def query_many(state: FilterState, elements: Sequence[bytes]) -> np.ndarray:
-    """Vectorized ``query`` over a sequence of elements."""
+    """Vectorized ``query`` over a sequence of elements.
+
+    Only the columns where ``y`` is nonzero are hashed: the others add
+    nothing to the dot product, and each hash entry depends only on its
+    element and column.
+    """
     params = state.params
     _require_bytes(elements)
-    y = state.y.as_array()
+    columns, y = state._support
     out = np.empty(len(elements), dtype=np.int64)
     for lo in range(0, len(elements), _BATCH):
         chunk = elements[lo : lo + _BATCH]
-        rows = _hash_rows(params, state.y.field, chunk)
+        rows = _hash_rows(params, state.y.field, chunk, columns)
         out[lo : lo + len(chunk)] = matmul_mod(rows, y, params.q) == 0
         del rows  # free this batch before the next one is hashed
     return out

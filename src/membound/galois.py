@@ -11,19 +11,22 @@ whether hashed element rows lie in its kernel.  This module provides:
   matrix ``b`` while m*(q-1)**2 < 2**53, one int64 matmul while
   m*(q-1)**2 < 2**63, otherwise base-2**w digits of ``b`` recombined by
   Horner's rule mod q (the delayed reduction of FFLAS-FFPACK);
-* ``nullspace_of_matrix`` / ``nullspace_vector`` -- a deterministic kernel
-  vector in the reduced-row-echelon convention (lowest-index free variable
-  set to 1, all other free variables 0).  GF(2) takes a bit-packed path;
-  every other field a blocked Gauss-Jordan that factors panels of
-  ``_PANEL`` columns, updates the rows above and below with one
-  ``matmul_mod`` product per panel, and stops at the first free column;
+* ``nullspace_of_matrix`` -- a deterministic kernel vector in the
+  reduced-row-echelon convention (lowest-index free variable set to 1, all
+  other free variables 0); both paths stop at the first free column.
+  GF(2) packs 64 columns per word and eliminates 8 columns at a time by
+  the Method of Four Russians: one table of XOR combinations of a byte's
+  pivot rows, and one lookup-and-XOR pass over the rows below.  Every
+  other field takes a blocked Gauss-Jordan that factors panels of
+  ``_PANEL`` columns and updates the rows above and below with one
+  ``matmul_mod`` product per panel;
 * ``WordStream`` -- a pure, keyed 64-bit word source (blake2b absorption +
   splitmix64 counter expansion), so every hash row is reproducible from
   (seed, element bytes) alone;
 * ``sample_field_elements`` -- rejection sampling of field elements from one
-  stream or from a batch of streams at once, in cache-sized blocks mixed
-  and reduced in place.  The stream's words and the sampler share one
-  splitmix64 mixer, and the one-draw calls wrap the array calls.
+  stream or from a batch of streams at once, at every draw of a range or
+  at chosen columns of it, in cache-sized blocks mixed and reduced in
+  place.  The stream's words and the sampler share one splitmix64 mixer.
 """
 
 from __future__ import annotations
@@ -46,10 +49,8 @@ __all__ = [
     "inv",
     "dot",
     "matmul_mod",
-    "nullspace_vector",
     "nullspace_of_matrix",
     "WordStream",
-    "sample_field_element",
     "sample_field_elements",
 ]
 
@@ -272,10 +273,24 @@ def _nullspace_general(mat: np.ndarray, q: int) -> np.ndarray | None:
 
 
 def _nullspace_gf2(mat: np.ndarray, m: int) -> np.ndarray | None:
-    """GF(2) kernel vector with rows packed 64 columns per uint64 word.
+    """GF(2) kernel vector by Four-Russians elimination on bit-packed rows.
 
-    Only the low bit of each entry is read, and the one full-size
-    intermediate is a uint8 bit array, so ``mat`` is never copied.
+    Rows are packed 64 columns per little-endian uint64 word, so byte b of
+    a row holds columns 8b..8b+7.  Only the low bit of each entry is read,
+    and the one full-size intermediate is a uint8 bit array, so ``mat`` is
+    never copied.
+
+    As in ``_nullspace_general``, every column before the first free column
+    f is a pivot, so pivot row i has its pivot in column i and the loop
+    stops at f.  Each byte of columns is eliminated in one pass (the Method
+    of Four Russians: Bard, IACR ePrint 2006/251; Albrecht, Bard and Hart,
+    ACM TOMS 2010).  Its pivots are found on a uint8 copy of the byte of
+    the remaining rows and swapped into place; the p pivot rows are reduced
+    against each other on their pivot columns; a table of the 2**p XOR
+    combinations of those rows is built; and every row below is cleared on
+    the byte's pivot columns by XOR-ing in the table entry its byte
+    selects.  The remaining rows are zero on every column before the byte,
+    so the table and the update cover only words from the byte's own on.
     """
     k = mat.shape[0]
     words = (m + 63) // 64
@@ -283,38 +298,46 @@ def _nullspace_gf2(mat: np.ndarray, m: int) -> np.ndarray | None:
     np.bitwise_and(mat, 1, out=bits[:, :m], casting="unsafe")
     packed = np.packbits(bits, axis=1, bitorder="little").view("<u8")
     del bits
-    pivot_rows: list[tuple[int, int]] = []
-    row = 0
-    for col in range(m):
-        if row == k:
+    row_bytes = packed.view(np.uint8)
+    free = None
+    for b in range((m + 7) // 8):
+        r0, w = 8 * b, b >> 3
+        width = min(8, m - r0)
+        col = row_bytes[r0:, b].copy()
+        p = 0
+        while p < min(width, col.size):
+            bit = np.uint8(1 << p)
+            pr = p + int((col[p:] & bit).argmax())
+            if not col[pr] & bit:
+                break
+            if pr != p:
+                col[[p, pr]] = col[[pr, p]]
+                packed[[r0 + p, r0 + pr]] = packed[[r0 + pr, r0 + p]]
+            rest = col[p + 1 :]
+            rest ^= ((rest >> np.uint8(p)) & np.uint8(1)) * col[p]
+            p += 1
+        if p < width:
+            free = r0 + p
+        pivots = packed[r0 : r0 + p, w:]
+        for i in range(p):
+            hit = (row_bytes[r0 : r0 + p, b] >> np.uint8(i)) & np.uint8(1)
+            hit[i] = 0
+            pivots[hit.astype(bool)] ^= pivots[i]
+        if free is not None:
             break
-        w, s = col >> 6, np.uint64(col & 63)
-        colbits = (packed[row:, w] >> s) & np.uint64(1)
-        nz = np.nonzero(colbits)[0]
-        if nz.size == 0:
-            continue
-        pr = row + int(nz[0])
-        if pr != row:
-            packed[[row, pr]] = packed[[pr, row]]
-        below = packed[row + 1 :]
-        hit = ((below[:, w] >> s) & np.uint64(1)).astype(bool)
-        if hit.any():
-            below[hit] ^= packed[row]
-        pivot_rows.append((row, col))
-        row += 1
-    pivot_cols = {c for _, c in pivot_rows}
-    free = next((c for c in range(m) if c not in pivot_cols), None)
+        table = np.zeros((1 << p, words - w), dtype=np.uint64)
+        for i in range(p):
+            np.bitwise_xor(table[: 1 << i], pivots[i], out=table[1 << i : 2 << i])
+        below = r0 + p
+        packed[below:, w:] ^= table[row_bytes[below:, b] & np.uint8((1 << p) - 1)]
     if free is None:
         return None
     y_int = 1 << free
-    row_ints = {
-        r: int.from_bytes(packed[r].tobytes(), "little") for r, _ in pivot_rows
-    }
-    for r, c in reversed(pivot_rows):
-        # Row r is zero on every column before its pivot c, and y's bit at c
-        # is still clear, so this parity covers exactly the columns after c.
-        if bin(row_ints[r] & y_int).count("1") & 1:
-            y_int |= 1 << c
+    for r in reversed(range(free)):
+        # Row r is zero on every column before its pivot r, and y's bit at r
+        # is still clear, so this parity covers exactly the columns after r.
+        if (int.from_bytes(packed[r].tobytes(), "little") & y_int).bit_count() & 1:
+            y_int |= 1 << r
     y_bytes = np.frombuffer(y_int.to_bytes(8 * words, "little"), dtype=np.uint8)
     return np.unpackbits(y_bytes, count=m, bitorder="little").astype(np.int64)
 
@@ -336,30 +359,6 @@ def nullspace_of_matrix(mat: np.ndarray, q: int) -> np.ndarray | None:
     if q == 2:
         return _nullspace_gf2(mat, m)
     return _nullspace_general(mat, q)
-
-
-def nullspace_vector(
-    field: PrimeField, rows: Sequence[FieldVector], m: int
-) -> FieldVector | None:
-    """Kernel vector of the stacked ``rows`` in GF(q)^m, or None if full rank.
-
-    ``rows`` may be empty, in which case the convention returns the first
-    standard basis vector (1, 0, ..., 0).
-    """
-    if m < 1:
-        raise FieldError("dimension m must be at least 1")
-    for r in rows:
-        if r.field != field:
-            raise FieldError(f"row field GF({r.field.q}) does not match GF({field.q})")
-        if len(r) != m:
-            raise FieldError(f"row length {len(r)} does not match m={m}")
-    mat = (
-        np.array([r.coords for r in rows], dtype=np.int64)
-        if rows
-        else np.zeros((0, m), dtype=np.int64)
-    )
-    y = nullspace_of_matrix(mat, field.q)
-    return None if y is None else FieldVector.from_array(field, y)
 
 
 def _splitmix64(bases, indices, attempt, out, scratch=None) -> np.ndarray:
@@ -445,16 +444,12 @@ def _rejection_threshold(q: int) -> int:
 _BLOCK = 1 << 16
 
 
-def sample_field_element(stream: WordStream, field: PrimeField, index: int = 0) -> int:
-    """Draw ``index`` of ``sample_field_elements``: one uniform element of GF(q)."""
-    return int(sample_field_elements(stream, field, index, 1)[0])
-
-
 def sample_field_elements(
     stream: WordStream | Sequence[WordStream],
     field: PrimeField,
     start: int,
     count: int,
+    columns: np.ndarray | None = None,
 ) -> np.ndarray:
     """Uniform elements of GF(q) from draws start..start+count-1.
 
@@ -463,6 +458,11 @@ def sample_field_elements(
     to attempt 255; so the result is exactly uniform.  One stream gives
     shape ``(count,)``; a sequence of streams gives a ``(len, count)`` int64
     array whose row i equals the one-stream call on stream i.
+
+    ``columns``, a 1-D integer array of offsets in [0, count), makes only
+    the draws start + columns[j], in that order, so the result has
+    ``len(columns)`` entries per row: the full call's entries at those
+    columns, because each draw depends only on its stream and its index.
 
     The output is filled in blocks of ``_BLOCK`` words (whole rows while
     they fit, else column chunks of one row): each block is mixed in place,
@@ -474,17 +474,26 @@ def sample_field_elements(
     if not all(isinstance(s, WordStream) for s in streams):
         raise DomainError("streams must be WordStream instances")
     start, count = _draw_range(start, count)
+    if columns is None:
+        draws = np.arange(start, start + count, dtype=np.uint64)
+    else:
+        columns = np.asarray(columns)
+        if columns.ndim != 1 or columns.dtype.kind not in "iu" or (
+            columns.size and not (0 <= columns.min() and columns.max() < count)
+        ):
+            raise DomainError("columns must be a 1-D array of integers in [0, count)")
+        draws = columns.astype(np.uint64) + np.uint64(start)
     q = np.uint64(field.q)
     # 0 when q = 2, where 2**64 itself is the threshold.
     threshold = np.uint64(_rejection_threshold(field.q) % (1 << 64))
     bases = np.array([s._base for s in streams], dtype=np.uint64).reshape(-1, 1)
-    out = np.empty((len(streams), count), dtype=np.int64)
+    out = np.empty((len(streams), draws.size), dtype=np.int64)
     words = out.view(np.uint64)
-    rows = max(1, _BLOCK // max(count, 1))
-    width = max(1, min(count, _BLOCK))
+    rows = max(1, _BLOCK // max(draws.size, 1))
+    width = max(1, min(draws.size, _BLOCK))
     scratch = np.empty(min(len(streams), rows) * width, dtype=np.uint64)
-    for c0 in range(0, count, width):
-        indices = np.arange(start + c0, start + min(c0 + width, count), dtype=np.uint64)
+    for c0 in range(0, draws.size, width):
+        indices = draws[c0 : c0 + width]
         for r0 in range(0, len(streams), rows):
             block = words[r0 : r0 + rows, c0 : c0 + width]
             base = bases[r0 : r0 + rows]

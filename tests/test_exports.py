@@ -18,8 +18,17 @@ def test_every_exported_name_resolves(name):
     assert len(set(module.__all__)) == len(module.__all__)
 
 
-@pytest.mark.parametrize("name", ["SolverConfig", "RateReport", "rate_report"])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "SolverConfig",
+        "RateReport",
+        "rate_report",
+        "nullspace_vector",
+        "sample_field_element",
+    ],
+)
 def test_deleted_solver_apis_are_gone(name):
-    for module in (membound, membound.rate_distortion):
+    for module in (membound, membound.rate_distortion, membound.galois):
         assert not hasattr(module, name)
         assert name not in module.__all__

@@ -295,6 +295,38 @@ class TestQuery:
         build(params, KEYS12)
         assert calls == [params.q]
 
+    @pytest.mark.parametrize("q", [2, 3, 5, 4294967291])
+    def test_only_the_support_of_y_is_hashed(self, q, monkeypatch):
+        params = derive_params(6, 0, 1.0 / q, 99)
+        m, field = params.m, galois.PrimeField(q)
+        elements = [b"support-%d" % i for i in range(_BATCH + 3)]
+        rows = [reference_row(params.seed, e, q, m) for e in elements]
+        widths = []
+        sample = F.sample_field_elements
+
+        def counted(*args, **kwargs):
+            out = sample(*args, **kwargs)
+            widths.append(out.shape[1])
+            return out
+
+        monkeypatch.setattr(F, "sample_field_elements", counted)
+        rng = np.random.default_rng(q % 1000)
+        dense = [int(v) for v in rng.integers(1, q, size=m)]
+        dense[m // 2] = 0
+        for coords in (
+            [1] + [0] * (m - 1),
+            [0] * (m - 1) + [q - 1],
+            [0, 0, 1] + [0] * (m - 3),
+            dense,
+        ):
+            state = FilterState(params, galois.FieldVector(field, tuple(coords)))
+            want = [int(reference_dot(r, coords, q) == 0) for r in rows]
+            widths.clear()
+            assert query_many(state, elements).tolist() == want
+            support = sum(1 for c in coords if c)
+            assert widths == [support, support]  # one call per _BATCH elements
+            assert query(state, elements[-1]) == want[-1]
+
     def test_hyperplane_accepts_exactly_one_in_q(self):
         # y = (1, 0, 1) over GF(2): rows with row[0] = row[2] pass -> 4 of 8.
         assert self._accept_count(2, (1, 0, 1)) == 4

@@ -16,13 +16,12 @@ from membound import (
     PrimeField,
     WordStream,
     is_prime,
-    nullspace_vector,
-    sample_field_element,
 )
 from membound import galois
 from membound.galois import (
     _BLOCK,
     _PANEL,
+    _nullspace_general,
     _rejection_threshold,
     dot,
     inv,
@@ -190,99 +189,91 @@ class TestDot:
 
 class TestNullspace:
     def test_no_rows_gives_first_basis_vector(self):
-        field = PrimeField(5)
-        y = nullspace_vector(field, [], 3)
-        assert y.coords == (1, 0, 0)
+        y = nullspace_of_matrix(np.zeros((0, 3), dtype=np.int64), 5)
+        assert y.tolist() == [1, 0, 0]
 
     def test_all_zero_rows_give_first_basis_vector(self):
-        field = PrimeField(3)
-        rows = [FieldVector(field, (0, 0, 0))] * 2
-        y = nullspace_vector(field, rows, 3)
-        assert y.coords == (1, 0, 0)
+        y = nullspace_of_matrix(np.zeros((2, 3), dtype=np.int64), 3)
+        assert y.tolist() == [1, 0, 0]
 
     def test_full_rank_returns_none(self):
-        field = PrimeField(5)
-        rows = [
-            FieldVector(field, (1, 0, 0)),
-            FieldVector(field, (0, 1, 0)),
-            FieldVector(field, (0, 0, 1)),
-        ]
-        assert nullspace_vector(field, rows, 3) is None
+        assert nullspace_of_matrix(np.eye(3, dtype=np.int64), 5) is None
 
     def test_parity_row_over_gf2(self):
-        field = PrimeField(2)
-        y = nullspace_vector(field, [FieldVector(field, (1, 1))], 2)
-        assert y.coords == (1, 1)
+        assert nullspace_of_matrix(np.array([[1, 1]]), 2).tolist() == [1, 1]
 
     def test_lowest_free_variable_convention(self):
-        field2 = PrimeField(2)
-        y = nullspace_vector(field2, [FieldVector(field2, (1, 0, 1))], 3)
-        assert y.coords == (0, 1, 0)
-        field5 = PrimeField(5)
-        y = nullspace_vector(field5, [FieldVector(field5, (2, 1, 3))], 3)
-        assert y.coords == (2, 1, 0)
-
-    def test_rejects_mismatched_rows(self):
-        field = PrimeField(3)
-        with pytest.raises(FieldError):
-            nullspace_vector(field, [FieldVector(PrimeField(5), (1, 2))], 2)
-        with pytest.raises(FieldError):
-            nullspace_vector(field, [FieldVector(field, (1,))], 2)
-        with pytest.raises(FieldError):
-            nullspace_vector(field, [], 0)
+        assert nullspace_of_matrix(np.array([[1, 0, 1]]), 2).tolist() == [0, 1, 0]
+        assert nullspace_of_matrix(np.array([[2, 1, 3]]), 5).tolist() == [2, 1, 0]
 
     def test_matrix_shape_validation(self):
         with pytest.raises(FieldError):
             nullspace_of_matrix(np.zeros(3, dtype=np.int64), 2)
-        with pytest.raises(FieldError):
-            nullspace_of_matrix(np.zeros((2, 0), dtype=np.int64), 2)
+        for k, q in ((2, 2), (0, 3)):
+            with pytest.raises(FieldError):
+                nullspace_of_matrix(np.zeros((k, 0), dtype=np.int64), q)
 
     def test_underdetermined_systems_always_solved(self):
         rng = np.random.default_rng(11)
         for q in (2, 3, 5):
-            field = PrimeField(q)
             for _ in range(50):
                 m = int(rng.integers(2, 12))
                 k = int(rng.integers(1, m))
                 mat = rng.integers(0, q, size=(k, m))
-                rows = [FieldVector.from_array(field, r) for r in mat]
-                y = nullspace_vector(field, rows, m)
+                y = nullspace_of_matrix(mat, q)
                 assert y is not None
-                assert not y.is_zero()
-                for r in rows:
-                    assert reference_dot(r.coords, y.coords, q) == 0
+                assert y.any()
+                for r in mat:
+                    assert reference_dot(r, y, q) == 0
 
     def test_deterministic(self):
-        rng = np.random.default_rng(13)
-        field = PrimeField(3)
-        mat = rng.integers(0, 3, size=(4, 7))
-        rows = [FieldVector.from_array(field, r) for r in mat]
-        first = nullspace_vector(field, rows, 7)
-        second = nullspace_vector(field, rows, 7)
-        assert first.coords == second.coords
+        mat = np.random.default_rng(13).integers(0, 3, size=(4, 7))
+        first = nullspace_of_matrix(mat, 3)
+        second = nullspace_of_matrix(mat, 3)
+        assert first.tolist() == second.tolist()
 
     def test_packed_gf2_path_matches_generic_elimination(self):
-        from membound.galois import _nullspace_general
+        def check(mat):
+            fast = nullspace_of_matrix(mat, 2)
+            slow = _nullspace_general(mat, 2)
+            assert (fast is None) == (slow is None)
+            if fast is not None:
+                assert np.array_equal(fast, slow)
+            want = _reference_kernel(mat.tolist(), mat.shape[1], 2)
+            assert (None if fast is None else fast.tolist()) == want
+            return want
 
         rng = np.random.default_rng(17)
         for m in (3, 63, 64, 65, 100, 130):
             for _ in range(5):
                 k = int(rng.integers(1, min(m, 40)))
-                mat = rng.integers(0, 2, size=(k, m)).astype(np.int64)
-                fast = nullspace_of_matrix(mat, 2)
-                slow = _nullspace_general(mat, 2)
-                assert (fast is None) == (slow is None)
-                if fast is not None:
-                    assert np.array_equal(fast, slow)
+                check(rng.integers(0, 2, size=(k, m)).astype(np.int64))
         # k >= m: full rank (None) for most draws, a kernel otherwise.
-        for m in (1, 3, 63, 64, 65, 100):
+        for m in (1, 3, 5, 13, 63, 64, 65, 71, 100):
             for k in (m, m + 1, m + 7):
+                check(rng.integers(0, 2, size=(k, m)).astype(np.int64))
+        # k = 0, and no rows left before the last column of a ragged byte.
+        for m in (1, 5, 8, 13, 71):
+            assert check(np.zeros((0, m), dtype=np.int64)) == [1] + [0] * (m - 1)
+            assert check(rng.integers(0, 2, size=(m - 1, m)).astype(np.int64))
+        # Duplicate rows, a zero column and a repeated column.
+        for m in (13, 64, 130):
+            for k in (m - 3, m + 5):
                 mat = rng.integers(0, 2, size=(k, m)).astype(np.int64)
-                fast = nullspace_of_matrix(mat, 2)
-                slow = _nullspace_general(mat, 2)
-                assert (fast is None) == (slow is None)
-                if fast is not None:
-                    assert np.array_equal(fast, slow)
+                mat[1], mat[4] = mat[0], mat[2]
+                mat[:, m // 2] = 0
+                mat[:, m - 2] = mat[:, 3]
+                assert check(mat) is not None
+        # A free column f planted at every bit offset of two bytes, just
+        # before, on and after a word boundary, and in the last column of
+        # a ragged byte: extra rows keep columns 0..f-1 independent.
+        plants = [(24, f) for f in range(8)] + [(71, f) for f in range(16, 24)]
+        plants += [(136, f) for f in (63, 64, 65, 127, 128)] + [(13, 12), (71, 70)]
+        for m, f in plants:
+            mat = rng.integers(0, 2, size=(m + 16, m)).astype(np.int64)
+            mat[:, f] = mat[:, :f] @ rng.integers(0, 2, size=f) % 2
+            y = check(mat)
+            assert y[f] == 1 and not any(y[f + 1 :])
 
     def test_gf2_elimination_does_not_copy_the_matrix(self):
         mat = np.random.default_rng(19).integers(0, 2, size=(1000, 1100), dtype=np.int64)
@@ -553,8 +544,8 @@ class _ForcedRejection(WordStream):
 class TestFieldSampling:
     def test_pure(self):
         field = PrimeField(5)
-        a = sample_field_element(WordStream(7, b"s"), field, 3)
-        b = sample_field_element(WordStream(7, b"s"), field, 3)
+        a = sample_field_elements(WordStream(7, b"s"), field, 3, 1)[0]
+        b = sample_field_elements(WordStream(7, b"s"), field, 3, 1)[0]
         assert a == b
 
     def test_values_in_field(self):
@@ -585,15 +576,14 @@ class TestFieldSampling:
             stream = WordStream(3141, b"match")
             scalar = [reference_element(word, q, 50 + i) for i in range(200)]
             assert sample_field_elements(stream, field, 50, 200).tolist() == scalar
-            assert [sample_field_element(stream, field, 50 + i) for i in range(5)] == (
-                scalar[:5]
-            )
+            one_draw = [sample_field_elements(stream, field, 50 + i, 1)[0] for i in range(5)]
+            assert one_draw == scalar[:5]
 
     def test_rejection_retries_next_attempt(self, monkeypatch):
         forced = _ForcedRejection(monkeypatch, 777, b"reject")
         for q in (3, 5, 7):
             field = PrimeField(q)
-            got = sample_field_element(forced, field, 0)
+            got = sample_field_elements(forced, field, 0, 1)[0]
             assert got == reference_word(777, b"reject", 0, 1) % q
             vec = sample_field_elements(forced, field, 0, 40)
             scalar = [reference_element(forced.word, q, i) for i in range(40)]
@@ -606,7 +596,7 @@ class TestFieldSampling:
         for q in (3, 5, 7):
             field = PrimeField(q)
             assert word < q * ((1 << 64) // q)
-            assert sample_field_element(forced, field, 0) == word % q
+            assert sample_field_elements(forced, field, 0, 1)[0] == word % q
             vec = sample_field_elements(forced, field, 0, 4)
             scalar = [reference_element(forced.word, q, i) for i in range(4)]
             assert vec.tolist() == scalar
@@ -617,7 +607,7 @@ class TestFieldSampling:
         with pytest.raises(RuntimeError):
             sample_field_elements(forced, PrimeField(3), 0, 4)
         with pytest.raises(RuntimeError):
-            sample_field_element(forced, PrimeField(3), 0)
+            sample_field_elements(forced, PrimeField(3), 0, 1)
 
 
 class TestBatchSampling:
@@ -666,6 +656,34 @@ class TestBatchSampling:
             assert got[i].tolist() == [
                 reference_element(word_i, q, start + j) for j in range(m)
             ]
+        # The redraw addresses the draw's own index when columns are chosen.
+        picked = sample_field_elements(streams, field, start, m, np.array([col, 0]))
+        assert picked.tolist() == got[:, [col, 0]].tolist()
+
+    @pytest.mark.parametrize("q", (2, 3, 4294967291))
+    @pytest.mark.parametrize("m", (81, _BLOCK + 100))
+    def test_columns_pick_entries_of_the_full_rows(self, q, m):
+        start, field = 7, PrimeField(q)
+        for columns in ([m - 1], [m - 1, 0, 40], list(range(0, m, 3))):
+            # One more row than a block of len(columns) words holds.
+            rows = _BLOCK // len(columns) + 1
+            streams = [WordStream(23, b"E-col-%d" % i) for i in range(rows)]
+            full = sample_field_elements(streams[-2:], field, start, m)
+            got = sample_field_elements(streams, field, start, m, np.array(columns))
+            assert got.shape == (rows, len(columns)) and got.dtype == np.int64
+            assert got[-2:].tolist() == full[:, columns].tolist()
+            one = sample_field_elements(streams[0], field, start, m, columns)
+            assert one.tolist() == got[0].tolist()
+        word = functools.partial(reference_word, 23, b"E-col-0")
+        assert one.tolist() == [reference_element(word, q, start + j) for j in columns]
+
+    def test_columns_must_be_offsets_into_the_range(self):
+        stream = WordStream(1, b"x")
+        for bad in ([4], [-1], [[0]], [0.5], ["0"]):
+            with pytest.raises(DomainError):
+                sample_field_elements(stream, PrimeField(3), 0, 4, np.array(bad))
+        empty = sample_field_elements([stream], PrimeField(3), 0, 4, np.array([], int))
+        assert empty.shape == (1, 0)
 
     def test_streams_must_be_word_streams(self):
         with pytest.raises(DomainError):
