@@ -35,14 +35,14 @@ __all__ = [
     "optimal_tiny_tester",
 ]
 
-_MAX_ENUMERATION = 10**8
+_MAX_KNAPSACK_STEPS = 10**6
 _MAX_ROW_BITS = 24
 
 
 def exhaustive_fpr(y: FieldVector) -> Fraction:
     """Exact acceptance fraction of ``y`` over all q**m hash rows.
 
-    Counts the rows ``h`` with ``dot(h, y) = 0`` by full enumeration and
+    Counts the rows ``h`` with ``<h, y> = 0`` by full enumeration and
     returns the exact rational count / q**m: 1/q for every nonzero ``y``
     and 1 for ``y = 0``.  Refuses instances beyond 2**24 rows.
     """
@@ -92,10 +92,10 @@ class TinyTesterSpec:
             raise DomainError(
                 f"universe size u={self.u!r} must satisfy n < u <= 8"
             )
-        if self.enumeration_size > _MAX_ENUMERATION:
+        if self.knapsack_steps > _MAX_KNAPSACK_STEPS:
             raise EnumerationTooLargeError(
-                f"{self.enumeration_size} tester combinations exceed the "
-                f"{_MAX_ENUMERATION} enumeration limit"
+                f"{self.knapsack_steps} knapsack steps exceed the "
+                f"{_MAX_KNAPSACK_STEPS} limit"
             )
 
     @property
@@ -107,10 +107,10 @@ class TinyTesterSpec:
         return tuple(itertools.combinations(range(self.u), self.n))
 
     @property
-    def enumeration_size(self) -> int:
-        inits = self.states ** math.comb(self.u, self.n)
-        tables = 1 << (self.states * self.u)
-        return inits * tables
+    def knapsack_steps(self) -> int:
+        """The frontier search's work: initializers x cells x (total keys + 1)."""
+        count = math.comb(self.u, self.n)
+        return self.states**count * self.states * self.u * (count * self.n + 1)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
@@ -68,10 +69,6 @@ def _fmt(x: float) -> str:
     return "%.6g" % x
 
 
-def _atoms_text(dist: measures.DiscreteDistribution) -> str:
-    return " ".join(f"({_fmt(loc)}, {_fmt(mass)})" for loc, mass in dist.atoms)
-
-
 def _atoms_json(dist: measures.DiscreteDistribution) -> dict:
     return {"atoms": [[loc, mass] for loc, mass in dist.atoms]}
 
@@ -85,11 +82,32 @@ def _write(text: str, out: Optional[str]) -> None:
             sys.stdout.write("\n")
 
 
-def _emit_doc(as_json: bool, lines: list[str], doc: dict, out: Optional[str]) -> None:
+def _text_value(value) -> str:
+    """One report value as text: floats to 6 significant digits, bools in
+    lower case, lists in brackets, score distributions as (x, w) atoms."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return _fmt(value)
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_text_value, value)) + "]"
+    if isinstance(value, dict):
+        return " ".join(f"({_fmt(x)}, {_fmt(w)})" for x, w in value["atoms"])
+    return str(value)
+
+
+def _emit_doc(
+    as_json: bool, doc: dict, out: Optional[str], text: Optional[str] = None
+) -> None:
+    """Write ``doc`` as JSON (a ``Fraction`` as ``[a, b]``), or as text:
+    ``text`` when given, else one ``key: value`` line per entry."""
     if as_json:
-        _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", out)
-    else:
-        _write("\n".join(lines) + "\n", out)
+        text = json.dumps(
+            doc, indent=2, sort_keys=True, default=Fraction.as_integer_ratio
+        )
+    elif text is None:
+        text = "\n".join(f"{key}: {_text_value(v)}" for key, v in doc.items())
+    _write(text + "\n", out)
 
 
 def _parse_p_values(text: str) -> list[float]:
@@ -138,25 +156,14 @@ def _metric_n(name: str) -> rd.ErrorMetric:
 def _run_optimal(args) -> int:
     if args.family == "binary":
         best = rd.optimal_binary(args.eps_k, args.eps_n)
-        lines = [f"rate_bits_per_key: {_fmt(best.rate_bits_per_key)}"]
-        doc = {"rate_bits_per_key": best.rate_bits_per_key}
+        doc = {}
     else:
         best = rd.optimal_logloss(args.eps_k, args.eps_n)
-        lines = [
-            f"x_star: {_fmt(best.x_star)}",
-            f"q_star: {_fmt(best.q_star)}",
-            f"rate_bits_per_key: {_fmt(best.rate_bits_per_key)}",
-        ]
-        doc = {
-            "x_star": best.x_star,
-            "q_star": best.q_star,
-            "rate_bits_per_key": best.rate_bits_per_key,
-        }
-    lines.append(f"mu_K: {_atoms_text(best.mu_K)}")
-    lines.append(f"mu_N: {_atoms_text(best.mu_N)}")
+        doc = {"x_star": best.x_star, "q_star": best.q_star}
+    doc["rate_bits_per_key"] = best.rate_bits_per_key
     doc["mu_K"] = _atoms_json(best.mu_K)
     doc["mu_N"] = _atoms_json(best.mu_N)
-    _emit_doc(args.json, lines, doc, args.out)
+    _emit_doc(args.json, doc, args.out)
     return 0
 
 
@@ -184,7 +191,7 @@ def _run_frontier(args) -> int:
                 for pt in points
             ]
         }
-        _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+        _emit_doc(True, doc, args.out)
         return 0
     csv_text = rd.frontier_to_csv(points)
     if args.out:
@@ -206,17 +213,6 @@ def _run_filter_build(args) -> int:
             f"(best satisfied {report.satisfied_keys} of {params.threshold} needed)"
         )
     Path(args.out).write_bytes(filter_mod.serialize(state))
-    lines = [
-        f"success: {'true' if report.success else 'false'}",
-        f"n: {params.n}",
-        f"q: {params.q}",
-        f"m: {params.m}",
-        f"satisfied_keys: {report.satisfied_keys}",
-        f"candidates_tried: {report.candidates_tried}",
-        f"bits_payload: {report.bits_payload}",
-        f"bits_per_key: {_fmt(report.bits_payload / params.n)}",
-        f"out: {args.out}",
-    ]
     doc = {
         "success": report.success,
         "n": params.n,
@@ -229,7 +225,7 @@ def _run_filter_build(args) -> int:
         "out": args.out,
     }
     # The report goes to stdout; --out holds the filter blob.
-    _emit_doc(args.json, lines, doc, None)
+    _emit_doc(args.json, doc, None)
     return 0
 
 
@@ -251,48 +247,38 @@ def _run_filter_bench(args) -> int:
         filter_mod.random_bytes_sampler(args.seed, 8),
         args.trials,
     )
-    target = 1.0 / state.params.q
-    lines = [
-        f"fnr_hat: {_fmt(rates.fnr_hat)}",
-        f"fnr_ci99: [{_fmt(rates.fnr_ci[0])}, {_fmt(rates.fnr_ci[1])}]",
-        f"fpr_hat: {_fmt(rates.fpr_hat)}",
-        f"fpr_ci99: [{_fmt(rates.fpr_ci[0])}, {_fmt(rates.fpr_ci[1])}]",
-        f"target_fpr: {_fmt(target)}",
-        f"trials: {rates.trials}",
-    ]
     doc = {
         "fnr_hat": rates.fnr_hat,
         "fnr_ci99": list(rates.fnr_ci),
         "fpr_hat": rates.fpr_hat,
         "fpr_ci99": list(rates.fpr_ci),
-        "target_fpr": target,
+        "target_fpr": 1.0 / state.params.q,
         "trials": rates.trials,
     }
-    _emit_doc(args.json, lines, doc, args.out)
+    _emit_doc(args.json, doc, args.out)
     return 0
 
 
 def _run_oracle_tiny(args) -> int:
     spec = bruteforce.TinyTesterSpec(args.u, args.n, args.bits)
     frontier = bruteforce.optimal_tiny_tester(spec)
-    lines = []
-    points = []
-    for pt in frontier:
-        lines.append(
-            f"eps_K: {pt.eps_K} ({_fmt(float(pt.eps_K))})  "
-            f"eps_N: {pt.eps_N} ({_fmt(float(pt.eps_N))})"
-        )
-        points.append(
-            {
-                "eps_K": [pt.eps_K.numerator, pt.eps_K.denominator],
-                "eps_N": [pt.eps_N.numerator, pt.eps_N.denominator],
-                "eps_K_float": float(pt.eps_K),
-                "eps_N_float": float(pt.eps_N),
-                "init": list(pt.init),
-                "table": [list(row) for row in pt.table],
-            }
-        )
-    _emit_doc(args.json, lines, {"points": points}, args.out)
+    points = [
+        {
+            "eps_K": pt.eps_K,
+            "eps_N": pt.eps_N,
+            "eps_K_float": float(pt.eps_K),
+            "eps_N_float": float(pt.eps_N),
+            "init": list(pt.init),
+            "table": [list(row) for row in pt.table],
+        }
+        for pt in frontier
+    ]
+    text = "\n".join(
+        f"eps_K: {pt.eps_K} ({_fmt(float(pt.eps_K))})  "
+        f"eps_N: {pt.eps_N} ({_fmt(float(pt.eps_N))})"
+        for pt in frontier
+    )
+    _emit_doc(args.json, {"points": points}, args.out, text)
     return 0
 
 
@@ -300,19 +286,13 @@ def _run_oracle_fpr(args) -> int:
     state = filter_mod.deserialize(Path(args.state).read_bytes())
     fpr = bruteforce.exhaustive_fpr(state.y)
     target = 1.0 / state.params.q
-    lines = [
-        f"fpr_exact: {fpr}",
-        f"fpr_float: {_fmt(float(fpr))}",
-        f"target_fpr: {_fmt(target)}",
-        f"matches_target: {'true' if float(fpr) == target else 'false'}",
-    ]
     doc = {
-        "fpr_exact": [fpr.numerator, fpr.denominator],
+        "fpr_exact": fpr,
         "fpr_float": float(fpr),
         "target_fpr": target,
         "matches_target": float(fpr) == target,
     }
-    _emit_doc(args.json, lines, doc, args.out)
+    _emit_doc(args.json, doc, args.out)
     return 0
 
 
@@ -329,14 +309,6 @@ def _run_estimate_kl(args) -> int:
     eps_k_hat = sum(rd.metric_value(loss_k, s) for s in facts) / len(facts)
     eps_n_hat = sum(rd.metric_value(loss_n, s) for s in nonfacts) / len(nonfacts)
     best = rd.optimal_logloss(eps_k_hat, eps_n_hat)
-    lines = [
-        f"kl_bits: {_fmt(kl_bits)}",
-        f"eps_k_hat_nats: {_fmt(eps_k_hat)}",
-        f"eps_n_hat_nats: {_fmt(eps_n_hat)}",
-        f"x_star: {_fmt(best.x_star)}",
-        f"q_star: {_fmt(best.q_star)}",
-        f"logloss_rate_bits_per_key: {_fmt(best.rate_bits_per_key)}",
-    ]
     doc = {
         "kl_bits": kl_bits,
         "eps_k_hat_nats": eps_k_hat,
@@ -345,7 +317,7 @@ def _run_estimate_kl(args) -> int:
         "q_star": best.q_star,
         "logloss_rate_bits_per_key": best.rate_bits_per_key,
     }
-    _emit_doc(args.json, lines, doc, args.out)
+    _emit_doc(args.json, doc, args.out)
     return 0
 
 

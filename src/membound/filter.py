@@ -105,18 +105,18 @@ def _prime_reciprocal(eps_N) -> int:
 class FilterParams:
     """Sizing of a filter instance.
 
-    ``eps_K`` is held as an exact rational so the satisfied-key threshold
-    and the serialized header are platform-independent.  ``m`` follows the
-    sizing rule ``ceil((n*D + t_n)/log2 q)`` whenever ``n >= 1``; the
-    degenerate ``n = 0`` instance accepts any positive ``m``.
+    The fields n, eps_K, q, m and seed are the values a serialized header
+    stores; ``search_budget`` caps the two-sided candidate scan.  ``eps_K``
+    is held as an exact rational so the satisfied-key threshold and the
+    serialized header are platform-independent.  ``m`` follows the sizing
+    rule ``ceil((n*D + t_n)/log2 q)`` whenever ``n >= 1``; the degenerate
+    ``n = 0`` instance accepts any positive ``m``.
     """
 
     n: int
     eps_K: Fraction
-    eps_N: float
     q: int
     m: int
-    t_n: float
     seed: int
     search_budget: int
 
@@ -126,25 +126,12 @@ class FilterParams:
         if not isinstance(self.q, int) or not is_prime(self.q):
             raise DomainError(f"modulus {self.q!r} is not prime")
         object.__setattr__(self, "eps_K", _as_error_fraction(self.eps_K))
-        if float(self.eps_N) != 1.0 / self.q:
-            raise DomainError(
-                f"eps_N {self.eps_N!r} does not equal 1/q for q={self.q}"
-            )
-        object.__setattr__(self, "eps_N", 1.0 / self.q)
-        if self.eps_K + Fraction(1, self.q) >= 1:
-            raise TrivialRegimeError(
-                f"eps_K + eps_N = {float(self.eps_K) + self.eps_N} >= 1: "
-                "an always-accepting tester is optimal and no filter is needed"
-            )
+        _require_informative(self.eps_K, self.q)
         if not isinstance(self.seed, int) or not 0 <= self.seed < 1 << 64:
             raise DomainError(f"seed {self.seed!r} is not an unsigned 64-bit integer")
-        if float(self.t_n) != float(self.n) ** (2.0 / 3.0):
-            raise DomainError(
-                f"slack term t_n={self.t_n!r} must equal n**(2/3)"
-            )
         if not isinstance(self.m, int) or self.m < 1:
             raise DomainError(f"coordinate count {self.m!r} must be a positive integer")
-        if self.n >= 1 and self.m != _sized_m(self.n, self.eps_K, self.q, self.t_n):
+        if self.n >= 1 and self.m != _sized_m(self.n, self.eps_K, self.q):
             raise DomainError(
                 f"m={self.m} violates the sizing rule for "
                 f"(n={self.n}, eps_K={self.eps_K}, q={self.q})"
@@ -153,6 +140,16 @@ class FilterParams:
             raise DomainError(
                 f"search budget {self.search_budget!r} must be a positive integer"
             )
+
+    @property
+    def eps_N(self) -> float:
+        """The false-positive rate, exactly 1/q."""
+        return 1.0 / self.q
+
+    @property
+    def t_n(self) -> float:
+        """The sizing slack term n**(2/3)."""
+        return float(self.n) ** (2.0 / 3.0)
 
     @cached_property
     def capacity(self) -> int:
@@ -178,6 +175,15 @@ class FilterParams:
         return math.ceil((1 - self.eps_K) * self.n)
 
 
+def _require_informative(eps_K: Fraction, q: int) -> None:
+    """Refuse targets where eps_K + 1/q >= 1, tested exactly."""
+    if eps_K + Fraction(1, q) >= 1:
+        raise TrivialRegimeError(
+            f"eps_K + eps_N = {float(eps_K) + 1.0 / q} >= 1: "
+            "an always-accepting tester is optimal and no filter is needed"
+        )
+
+
 def _default_search_budget(q: int, m: int) -> int:
     """``min(q**m - 1, 10**7)``, computing ``q**m`` only when it spans <= 64 bits."""
     if m * math.log2(q) > 64:
@@ -185,9 +191,9 @@ def _default_search_budget(q: int, m: int) -> int:
     return min(q**m - 1, _MAX_SEARCH_BUDGET)
 
 
-def _sized_m(n: int, eps_K: Fraction, q: int, t_n: float) -> int:
+def _sized_m(n: int, eps_K: Fraction, q: int) -> int:
     rate = optimal_binary(float(eps_K), 1.0 / q).rate_bits_per_key
-    return math.ceil((n * rate + t_n) / math.log2(q))
+    return math.ceil((n * rate + float(n) ** (2.0 / 3.0)) / math.log2(q))
 
 
 def derive_params(n: int, eps_K, eps_N, seed: int) -> FilterParams:
@@ -202,23 +208,11 @@ def derive_params(n: int, eps_K, eps_N, seed: int) -> FilterParams:
         raise DomainError(f"key count {n!r} must be a positive integer")
     q = _prime_reciprocal(eps_N)
     eps_K = _as_error_fraction(eps_K)
-    if eps_K + Fraction(1, q) >= 1:
-        raise TrivialRegimeError(
-            f"eps_K + eps_N = {float(eps_K) + 1.0 / q} >= 1: "
-            "an always-accepting tester is optimal and no filter is needed"
-        )
-    t_n = float(n) ** (2.0 / 3.0)
-    m = _sized_m(n, eps_K, q, t_n)
-    return FilterParams(
-        n=n,
-        eps_K=eps_K,
-        eps_N=1.0 / q,
-        q=q,
-        m=m,
-        t_n=t_n,
-        seed=seed,
-        search_budget=_default_search_budget(q, m),
-    )
+    # Sizing calls optimal_binary, whose float test of the regime is not
+    # exact, so the exact one comes first.
+    _require_informative(eps_K, q)
+    m = _sized_m(n, eps_K, q)
+    return FilterParams(n, eps_K, q, m, seed, _default_search_budget(q, m))
 
 
 @dataclass(frozen=True)
@@ -416,10 +410,8 @@ def deserialize(data: bytes) -> FilterState:
         params = FilterParams(
             n=n,
             eps_K=Fraction(eps_num, eps_den),
-            eps_N=1.0 / q if q else 0.0,
             q=q,
             m=m,
-            t_n=float(n) ** (2.0 / 3.0),
             seed=seed,
             search_budget=_default_search_budget(q, m) if q > 1 else 1,
         )

@@ -4,8 +4,6 @@ The filter stores one linear functional over GF(q) (q prime) and tests
 whether hashed element rows lie in its kernel.  This module provides:
 
 * ``PrimeField`` / ``FieldVector`` -- validated value types;
-* exact field arithmetic: ``inv`` on Python integers, and ``dot``, a
-  one-line wrapper over ``matmul_mod``;
 * ``matmul_mod`` -- ``a @ b mod q`` on int64 arrays, exact for every prime
   q < 2**32 and every inner length m < 2**31: one float64 BLAS matmul for a
   matrix ``b`` while m*(q-1)**2 < 2**53, one int64 matmul while
@@ -26,14 +24,13 @@ whether hashed element rows lie in its kernel.  This module provides:
 * ``sample_field_elements`` -- rejection sampling of field elements from one
   stream or from a batch of streams at once, at every draw of a range or
   at chosen columns of it, in cache-sized blocks mixed and reduced in
-  place.  The stream's words and the sampler share one splitmix64 mixer.
+  place.  Every word comes from the one splitmix64 mixer, ``_splitmix64``.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import math
 import operator
 from dataclasses import dataclass
 from typing import Sequence
@@ -46,8 +43,6 @@ __all__ = [
     "PrimeField",
     "FieldVector",
     "is_prime",
-    "inv",
-    "dot",
     "matmul_mod",
     "nullspace_of_matrix",
     "WordStream",
@@ -133,23 +128,6 @@ class FieldVector:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
-
-
-def inv(field: PrimeField, a: int) -> int:
-    """Multiplicative inverse of ``a`` in GF(q); error on 0."""
-    a = field.check_element(a)
-    if a == 0:
-        raise FieldError("0 has no multiplicative inverse")
-    return pow(a, -1, field.q)
-
-
-def dot(x: FieldVector, y: FieldVector) -> int:
-    """Inner product in GF(q); operands must share field and length."""
-    if x.field != y.field:
-        raise FieldError(f"mixed fields GF({x.field.q}) and GF({y.field.q})")
-    if len(x) != len(y):
-        raise FieldError(f"length mismatch: {len(x)} vs {len(y)}")
-    return int(matmul_mod(x.as_array(), y.as_array(), x.field.q))
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
@@ -389,11 +367,11 @@ class WordStream:
     """A pure stream of 64-bit words keyed by ``(seed, label)``.
 
     The label (an element identifier, or a role tag such as a candidate
-    namespace) is absorbed into a 64-bit base with keyed blake2b; individual
-    words are then expanded with a splitmix64 counter mix, so any word is
-    addressable directly: ``word(i, a)`` is rejection attempt ``a`` of draw
-    ``i``, for i < 2**56 and a < 256.  Equal inputs always produce equal
-    words, on every platform.
+    namespace) is absorbed into a 64-bit base with keyed blake2b.  The word
+    for rejection attempt a < 256 of draw i < 2**56 is ``_splitmix64`` of
+    that base at (i, a), so any word is addressable directly, and
+    ``sample_field_elements`` reads the base alone.  Equal inputs always
+    produce equal words, on every platform.
     """
 
     seed: int
@@ -407,31 +385,6 @@ class WordStream:
         key = self.seed.to_bytes(8, "little") + b"membound.v1"
         digest = hashlib.blake2b(self.label, digest_size=8, key=key).digest()
         object.__setattr__(self, "_base", int.from_bytes(digest, "little"))
-
-    def word(self, index: int, attempt: int = 0) -> int:
-        return int(self.word_block(index, 1, attempt)[0])
-
-    def words_at(self, indices: np.ndarray, attempt: int = 0) -> np.ndarray:
-        indices = np.asarray(indices)
-        if indices.size and not (0 <= indices.min() and indices.max() < 1 << 56):
-            raise DomainError("draw indices outside [0, 2**56)")
-        return self._mix(indices.astype(np.uint64), attempt)
-
-    def word_block(self, start: int, count: int, attempt: int = 0) -> np.ndarray:
-        start, count = _draw_range(start, count)
-        return self._mix(np.arange(start, start + count, dtype=np.uint64), attempt)
-
-    def _mix(self, indices: np.ndarray, attempt: int) -> np.ndarray:
-        out = np.empty(indices.shape, dtype=np.uint64)
-        return _splitmix64(np.uint64(self._base), indices, attempt, out)
-
-
-def _draw_range(start: int, count: int) -> tuple[int, int]:
-    """``(start, count)`` as ints, checked to address draws below 2**56."""
-    start, count = operator.index(start), operator.index(count)
-    if not (0 <= start and 0 <= count and start + count <= 1 << 56):
-        raise DomainError(f"draws {start!r}..+{count!r} outside [0, 2**56)")
-    return start, count
 
 
 def _rejection_threshold(q: int) -> int:
@@ -473,7 +426,9 @@ def sample_field_elements(
     streams = [stream] if single else list(stream)
     if not all(isinstance(s, WordStream) for s in streams):
         raise DomainError("streams must be WordStream instances")
-    start, count = _draw_range(start, count)
+    start, count = operator.index(start), operator.index(count)
+    if not (0 <= start and 0 <= count and start + count <= 1 << 56):
+        raise DomainError(f"draws {start!r}..+{count!r} outside [0, 2**56)")
     if columns is None:
         draws = np.arange(start, start + count, dtype=np.uint64)
     else:

@@ -64,7 +64,8 @@ class TestTinyTesterSpec:
     def test_valid_instance(self):
         spec = TinyTesterSpec(4, 1, 1)
         assert spec.states == 2
-        assert spec.enumeration_size == 2**4 * 2**8
+        # 2**4 initializers x 8 cells x (4 keys + 1)
+        assert spec.knapsack_steps == 2**4 * 8 * 5
 
     def test_key_sets_lexicographic(self):
         spec = TinyTesterSpec(4, 2, 1)
@@ -88,7 +89,9 @@ class TestTinyTesterSpec:
         with pytest.raises(EnumerationTooLargeError):
             TinyTesterSpec(8, 1, 3)
         with pytest.raises(EnumerationTooLargeError):
-            TinyTesterSpec(5, 1, 2)  # 4**5 * 2**20 > 10**8
+            TinyTesterSpec(7, 1, 2)  # 4**7 * 28 * 8 > 10**6 knapsack steps
+        # The guard counts the knapsack's work, not the 4**6 * 2**16 tables.
+        assert TinyTesterSpec(4, 2, 2).knapsack_steps == 4**6 * 16 * 13
 
 
 def _oracle_specs():
@@ -99,7 +102,8 @@ def _oracle_specs():
             spec = TinyTesterSpec(u, n, bits)
         except (DomainError, EnumerationTooLargeError):
             continue
-        if spec.enumeration_size <= 2**22:
+        testers = spec.states ** len(spec.key_sets) * 2 ** (spec.states * spec.u)
+        if testers <= 2**22:
             specs.append(spec)
     return specs + [TinyTesterSpec(4, 1, 2)]
 

@@ -26,9 +26,17 @@ def test_every_exported_name_resolves(name):
         "rate_report",
         "nullspace_vector",
         "sample_field_element",
+        "inv",
+        "dot",
     ],
 )
 def test_deleted_solver_apis_are_gone(name):
     for module in (membound, membound.rate_distortion, membound.galois):
         assert not hasattr(module, name)
         assert name not in module.__all__
+
+
+def test_word_stream_keeps_only_its_base():
+    # The sampler mixes every word from the stream's base itself.
+    for method in ("word", "words_at", "word_block", "_mix"):
+        assert not hasattr(membound.WordStream, method)

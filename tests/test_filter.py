@@ -120,20 +120,28 @@ class TestFilterParams:
             dataclasses.replace(params, m=params.m - 1)
 
     def test_slack_term_enforced(self):
-        params = derive_params(1000, 0, 0.5, 0)
-        with pytest.raises(DomainError):
-            dataclasses.replace(params, t_n=99.0)
+        # t_n is derived from n, so no other value can be set.
+        for n in (1, 12, 1000):
+            params = derive_params(n, 0, 0.5, 0)
+            assert params.t_n == float(n) ** (2.0 / 3.0)
+            with pytest.raises(TypeError):
+                dataclasses.replace(params, t_n=99.0)
 
     def test_eps_N_must_be_reciprocal_of_q(self):
-        params = derive_params(1000, 0, 0.5, 0)
-        with pytest.raises(DomainError):
-            dataclasses.replace(params, eps_N=0.25)
+        # eps_N is derived from q, so no other value can be set.
+        for q in (2, 3, 5, 4294967291):
+            params = derive_params(10, 0, 1.0 / q, 0)
+            assert params.q == q and params.eps_N == 1.0 / q
+            with pytest.raises(TypeError):
+                dataclasses.replace(params, eps_N=0.25)
+
+    def test_fields_are_the_header_values_and_the_budget(self):
+        names = [f.name for f in dataclasses.fields(FilterParams)]
+        assert names == ["n", "eps_K", "q", "m", "seed", "search_budget"]
 
     def test_composite_modulus_rejected(self):
         with pytest.raises(DomainError):
-            FilterParams(
-                n=0, eps_K=0, eps_N=0.25, q=4, m=3, t_n=0.0, seed=0, search_budget=1
-            )
+            FilterParams(n=0, eps_K=0, q=4, m=3, seed=0, search_budget=1)
 
     def test_budget_validation(self):
         params = derive_params(12, 0.25, 0.5, 0)
@@ -141,9 +149,7 @@ class TestFilterParams:
             dataclasses.replace(params, search_budget=0)
 
     def test_degenerate_empty_instance(self):
-        params = FilterParams(
-            n=0, eps_K=0, eps_N=0.5, q=2, m=3, t_n=0.0, seed=0, search_budget=1
-        )
+        params = FilterParams(n=0, eps_K=0, q=2, m=3, seed=0, search_budget=1)
         assert params.threshold == 0
         assert params.bits_payload == 3
 
@@ -188,9 +194,7 @@ class TestBuild:
             build(params, [b"a", b"b"])
 
     def test_degenerate_empty_build(self):
-        params = FilterParams(
-            n=0, eps_K=0, eps_N=0.5, q=2, m=4, t_n=0.0, seed=0, search_budget=1
-        )
+        params = FilterParams(n=0, eps_K=0, q=2, m=4, seed=0, search_budget=1)
         state, report = build(params, [])
         assert report.success
         assert report.satisfied_keys == 0

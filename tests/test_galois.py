@@ -23,8 +23,7 @@ from membound.galois import (
     _PANEL,
     _nullspace_general,
     _rejection_threshold,
-    dot,
-    inv,
+    _splitmix64,
     matmul_mod,
     nullspace_of_matrix,
     sample_field_elements,
@@ -109,82 +108,49 @@ class TestFieldVector:
         assert not FieldVector(field, (0, 1, 0)).is_zero()
 
 
-class TestInv:
-    def test_examples_mod_five(self):
-        field = PrimeField(5)
-        assert inv(field, 2) == 3
-        assert inv(field, 1) == 1
-        assert inv(field, 4) == 4
-
-    def test_zero_has_no_inverse(self):
-        with pytest.raises(FieldError):
-            inv(PrimeField(5), 0)
-
-    def test_inverse_property_all_elements(self):
-        for q in (2, 3, 5, 7, 13):
-            field = PrimeField(q)
-            for a in range(1, q):
-                b = inv(field, a)
-                assert (a * b) % q == 1
-                assert inv(field, b) == a
-
-
 class TestDot:
+    """Inner products in GF(q): ``matmul_mod`` with a vector on the right."""
+
     def test_example_mod_five(self):
-        field = PrimeField(5)
-        x = FieldVector(field, (1, 2))
-        y = FieldVector(field, (3, 4))
-        assert dot(x, y) == 1  # 1*3 + 2*4 = 11 = 1 mod 5
+        # 1*3 + 2*4 = 11 = 1 mod 5
+        assert matmul_mod(np.array([1, 2]), np.array([3, 4]), 5) == 1
 
     def test_basis_vectors_pick_out_coordinates(self):
-        field = PrimeField(7)
-        v = FieldVector(field, (4, 5, 6))
-        for i in range(3):
-            e = FieldVector(field, tuple(1 if j == i else 0 for j in range(3)))
-            assert dot(e, v) == v.coords[i]
+        v = np.array([4, 5, 6])
+        for i, e in enumerate(np.eye(3, dtype=np.int64)):
+            assert matmul_mod(e, v, 7) == v[i]
+        assert matmul_mod(np.eye(3, dtype=np.int64), v, 7).tolist() == v.tolist()
 
     def test_zero_vector(self):
-        field = PrimeField(3)
-        z = FieldVector(field, (0, 0))
-        assert dot(z, FieldVector(field, (1, 2))) == 0
-
-    def test_mixed_fields_rejected(self):
-        x = FieldVector(PrimeField(3), (1, 2))
-        y = FieldVector(PrimeField(5), (1, 2))
-        with pytest.raises(FieldError):
-            dot(x, y)
+        assert matmul_mod(np.zeros(2, dtype=np.int64), np.array([1, 2]), 3) == 0
 
     def test_length_mismatch_rejected(self):
-        field = PrimeField(3)
-        with pytest.raises(FieldError):
-            dot(FieldVector(field, (1,)), FieldVector(field, (1, 2)))
+        for q in (3, 4294967291):
+            with pytest.raises(ValueError):
+                matmul_mod(np.array([1]), np.array([1, 2]), q)
 
     def test_bilinearity_random(self):
         rng = np.random.default_rng(7)
         for q in (2, 3, 5, 7, 13):
-            field = PrimeField(q)
             for _ in range(50):
-                a = rng.integers(0, q, size=6)
-                b = rng.integers(0, q, size=6)
-                c = rng.integers(0, q, size=6)
-                xa = FieldVector.from_array(field, a)
-                xb = FieldVector.from_array(field, b)
-                xc = FieldVector.from_array(field, c)
-                xsum = FieldVector.from_array(field, (a + b) % q)
-                assert dot(xa, xc) == reference_dot(a, c, q)
-                assert dot(xsum, xc) == (dot(xa, xc) + dot(xb, xc)) % q
+                a, b, c = rng.integers(0, q, size=(3, 6))
+                ac = matmul_mod(a, c, q)
+                assert ac == reference_dot(a, c, q)
+                assert matmul_mod((a + b) % q, c, q) == (ac + matmul_mod(b, c, q)) % q
+                rows = np.stack([a, b, (a + b) % q])
+                assert matmul_mod(rows, c, q).tolist() == [
+                    reference_dot(r, c, q) for r in rows
+                ]
 
     def test_wide_field_matches_plain_ints(self):
-        # (q-1)**2 overflows int64, so dot takes matmul_mod's digit split.
+        # (q-1)**2 overflows int64, so the product takes the digit split.
         q = 4294967291
-        field = PrimeField(q)
         rng = np.random.default_rng(29)
         for m in (1, 2, 7, 40):
             a = rng.integers(0, q, size=m)
             b = rng.integers(0, q, size=m)
             a[0] = b[0] = q - 1
-            got = dot(FieldVector.from_array(field, a), FieldVector.from_array(field, b))
-            assert got == reference_dot(a, b, q)
+            assert matmul_mod(a, b, q) == reference_dot(a, b, q)
 
 
 class TestNullspace:
@@ -424,31 +390,48 @@ class TestMatmulMod:
             assert matmul_mod(a, b, q).tolist() == want.tolist()
 
 
+def _words(stream, indices, attempt=0, scratch=None):
+    """Words ``(i, attempt)`` of ``stream`` for each i in ``indices``, as the
+    sampler mixes them: ``_splitmix64`` on the stream's base."""
+    indices = np.asarray(indices, dtype=np.uint64)
+    out = np.empty(indices.shape, dtype=np.uint64)
+    return _splitmix64(np.uint64(stream._base), indices, attempt, out, scratch)
+
+
+def _draws(stream, count=8):
+    """The first ``count`` draws of ``stream`` in a 32-bit field."""
+    return sample_field_elements(stream, PrimeField(4294967291), 0, count).tolist()
+
+
 class TestWordStream:
     def test_pure_in_seed_and_label(self):
         a = WordStream(12345, b"element")
         b = WordStream(12345, b"element")
-        assert [a.word(i) for i in range(16)] == [b.word(i) for i in range(16)]
+        assert a == b
+        assert _words(a, range(16)).tolist() == _words(b, range(16)).tolist()
+        assert _draws(a, 16) == _draws(b, 16)
 
     def test_label_separation(self):
         a = WordStream(1, b"E" + b"payload")
         b = WordStream(1, b"C" + b"payload")
-        assert [a.word(i) for i in range(8)] != [b.word(i) for i in range(8)]
+        assert _words(a, range(8)).tolist() != _words(b, range(8)).tolist()
+        assert _draws(a) != _draws(b)
 
     def test_seed_separation(self):
         a = WordStream(1, b"x")
         b = WordStream(2, b"x")
-        assert [a.word(i) for i in range(8)] != [b.word(i) for i in range(8)]
+        assert _words(a, range(8)).tolist() != _words(b, range(8)).tolist()
+        assert _draws(a) != _draws(b)
 
     def test_words_are_64_bit(self):
         stream = WordStream(99, b"range")
-        for i in range(100):
-            w = stream.word(i)
-            assert 0 <= w < 1 << 64
+        words = _words(stream, range(100))
+        assert words.dtype == np.uint64
+        assert words.tolist() == [reference_word(99, b"range", i) for i in range(100)]
 
     def test_attempt_counter_changes_word(self):
         stream = WordStream(5, b"retry")
-        ws = {stream.word(3, attempt) for attempt in range(8)}
+        ws = {int(_words(stream, [3], attempt)[0]) for attempt in range(8)}
         assert len(ws) == 8
 
     def test_seed_validation(self):
@@ -460,53 +443,46 @@ class TestWordStream:
 
     def test_index_and_attempt_bounds(self):
         stream = WordStream(0, b"x")
-        with pytest.raises(DomainError):
-            stream.word(1 << 56)
-        with pytest.raises(DomainError):
-            stream.word(-1)
-        with pytest.raises(DomainError):
-            stream.word(0, 256)
+        for start in (1 << 56, -1):
+            with pytest.raises(DomainError):
+                sample_field_elements(stream, PrimeField(3), start, 1)
+        for attempt in (256, -1):
+            with pytest.raises(DomainError):
+                _words(stream, [0], attempt)
 
     def test_block_matches_scalar_words(self):
+        # The sampler mixes whole blocks, with and without a scratch buffer.
         seed, label = 2**63 + 9, b"vectorized"
         stream = WordStream(seed, label)
         scalar = [reference_word(seed, label, 100 + i) for i in range(257)]
-        assert stream.word_block(100, 257).tolist() == scalar
-        assert [stream.word(100 + i) for i in range(257)] == scalar
+        indices = np.arange(100, 357, dtype=np.uint64)
+        assert _words(stream, indices).tolist() == scalar
+        scratch = np.empty(300, dtype=np.uint64)
+        assert _words(stream, indices, 0, scratch).tolist() == scalar
 
     def test_words_at_supports_attempts(self):
         stream = WordStream(4, b"at")
-        idx = np.array([0, 5, 9], dtype=np.uint64)
-        got = stream.words_at(idx, attempt=3)
+        got = _words(stream, [0, 5, 9], attempt=3)
         assert got.tolist() == [reference_word(4, b"at", i, 3) for i in (0, 5, 9)]
 
     def test_array_calls_refuse_indices_past_the_counter(self):
         # Index 2**56 would wrap onto index 0 in the 64-bit counter.
         stream = WordStream(1, b"x")
+        field = PrimeField(4294967291)
         last = (1 << 56) - 1
-        assert stream.word_block(last - 3, 4).tolist() == [
-            reference_word(1, b"x", i) for i in range(last - 3, last + 1)
-        ]
-        assert stream.words_at(np.array([last], dtype=np.uint64)).tolist() == [
-            reference_word(1, b"x", last)
-        ]
+        word = functools.partial(reference_word, 1, b"x")
+        want = [reference_element(word, field.q, i) for i in range(last - 3, last + 1)]
+        assert sample_field_elements(stream, field, last - 3, 4).tolist() == want
+        got = sample_field_elements(stream, field, last - 3, 4, np.array([3, 0]))
+        assert got.tolist() == [want[3], want[0]]
         for start, count in ((1 << 56, 4), (last, 2), (-1, 2), (0, -1)):
             with pytest.raises(DomainError):
-                stream.word_block(start, count)
+                sample_field_elements(stream, field, start, count)
             with pytest.raises(DomainError):
-                sample_field_elements(stream, PrimeField(3), start, count)
-        for bad in ([1 << 56], [0, -1]):
-            with pytest.raises(DomainError):
-                stream.words_at(np.array(bad))
-        with pytest.raises(DomainError):
-            stream.word_block(0, 4, 256)
-        with pytest.raises(DomainError):
-            stream.words_at(np.array([0]), -1)
-        for args in ((1.5,), (0, 1.5)):
+                sample_field_elements(stream, field, start, count, np.array([0]))
+        for args in ((0.5, 4), (0, 1.5)):
             with pytest.raises(TypeError):
-                stream.word(*args)
-        with pytest.raises(TypeError):
-            sample_field_elements(stream, PrimeField(3), 0.5, 4)
+                sample_field_elements(stream, field, *args)
 
 
 class _ForcedRejection(WordStream):
@@ -516,8 +492,8 @@ class _ForcedRejection(WordStream):
     sampling that draw must fall through to attempt ``rejected``.  The
     sampler reads only a stream's base and takes every word from
     ``galois._splitmix64``, so the constructor patches that mixer to force
-    the word wherever it mixes this stream's base at ``index``.  ``word`` is
-    the plain-int reference with the same forcing.
+    the word wherever it mixes this stream's base at ``index``.
+    ``reference`` is the plain-int reference with the same forcing.
     """
 
     def __init__(self, monkeypatch, seed, label, rejected=1, index=0):
@@ -535,7 +511,7 @@ class _ForcedRejection(WordStream):
 
         monkeypatch.setattr(galois, "_splitmix64", forced)
 
-    def word(self, index, attempt=0):
+    def reference(self, index, attempt=0):
         if index == self.index and attempt < self.rejected:
             return (1 << 64) - 1
         return reference_word(self.seed, self.label, index, attempt)
@@ -586,7 +562,7 @@ class TestFieldSampling:
             got = sample_field_elements(forced, field, 0, 1)[0]
             assert got == reference_word(777, b"reject", 0, 1) % q
             vec = sample_field_elements(forced, field, 0, 40)
-            scalar = [reference_element(forced.word, q, i) for i in range(40)]
+            scalar = [reference_element(forced.reference, q, i) for i in range(40)]
             assert vec.tolist() == scalar
 
     def test_last_attempt_is_checked(self, monkeypatch):
@@ -598,7 +574,7 @@ class TestFieldSampling:
             assert word < q * ((1 << 64) // q)
             assert sample_field_elements(forced, field, 0, 1)[0] == word % q
             vec = sample_field_elements(forced, field, 0, 4)
-            scalar = [reference_element(forced.word, q, i) for i in range(4)]
+            scalar = [reference_element(forced.reference, q, i) for i in range(4)]
             assert vec.tolist() == scalar
             assert vec[0] == word % q
 
@@ -648,7 +624,7 @@ class TestBatchSampling:
         assert word < _rejection_threshold(q)
         assert word % q != reference_word(seed, labels[row], start + col, 0) % q
         assert got[row, col] == word % q
-        want = [reference_element(forced.word, q, start + j) for j in range(m)]
+        want = [reference_element(forced.reference, q, start + j) for j in range(m)]
         assert got[row].tolist() == want
         assert sample_field_elements(forced, field, start, m).tolist() == want
         for i in (0, per_block - 1, per_block, row - 1, row + 1, 2 * per_block - 1):
@@ -716,7 +692,7 @@ class TestPinnedHash:
         stream = WordStream(2024, b"pin")
         for index, attempt, want in self.WORDS:
             assert reference_word(2024, b"pin", index, attempt) == want
-            assert stream.word(index, attempt) == want
+            assert _words(stream, [index], attempt).tolist() == [want]
 
     def test_draws(self):
         stream = WordStream(2024, b"pin")
