@@ -20,7 +20,6 @@ from .errors import (
     TrivialRegimeError,
 )
 from .measures import (
-    BinnedHistogram,
     DiscreteDistribution,
     binarize,
     binary_entropy,
@@ -88,7 +87,6 @@ __all__ = [
     "EnumerationTooLargeError",
     # measures
     "DiscreteDistribution",
-    "BinnedHistogram",
     "kl_divergence",
     "chi_squared",
     "binary_entropy",

@@ -4,7 +4,8 @@ One subcommand per capability: closed-form optimizers, frontier sweeps,
 the filter lifecycle (build / query / bench), brute-force oracles, and
 histogram KL estimation from score files.  Output is plain text with 6
 significant digits, or full-precision JSON with ``--json``; frontier
-sweeps emit the CSV schema from :mod:`membound.rate_distortion`.
+sweeps emit a full-precision CSV whose schema is defined here, next to the
+``--out`` sidecar of per-point score laws.
 
 Exit codes: 0 on success, 1 on domain errors (reported as a one-line
 JSON object on stderr), 2 on usage errors.
@@ -167,37 +168,44 @@ def _run_optimal(args) -> int:
     return 0
 
 
+# The frontier CSV's columns, in order: floats at full precision (repr),
+# bools in lower case.  The --out sidecar holds _SIDECAR_KEYS of each point.
+_FRONTIER_CSV_COLUMNS = (
+    "p", "eps_K", "eps_N", "rate_bits_per_key", "dual_K", "dual_N", "converged"
+)
+_SIDECAR_KEYS = ("p", "eps_K", "eps_N", "mu_K", "mu_N")
+
+
+def _csv_cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value)
+
+
 def _run_frontier(args) -> int:
     p_values = _parse_p_values(args.p)
     metric_K = _metric_k(args.metric_k)
     metric_N = _metric_n(args.metric_n)
-    points = [
-        rd.solve_rp(p, metric_K, metric_N, args.eps_k, args.eps_n) for p in p_values
-    ]
+    records = []
+    for p in p_values:
+        pt = rd.solve_rp(p, metric_K, metric_N, args.eps_k, args.eps_n)
+        record = {name: getattr(pt, name) for name in _FRONTIER_CSV_COLUMNS}
+        record["mu_K"] = _atoms_json(pt.mu_K)
+        record["mu_N"] = _atoms_json(pt.mu_N)
+        records.append(record)
     if args.json:
-        doc = {
-            "points": [
-                {
-                    "p": pt.p,
-                    "eps_K": pt.eps_K,
-                    "eps_N": pt.eps_N,
-                    "rate_bits_per_key": pt.rate_bits_per_key,
-                    "dual_K": pt.dual_K,
-                    "dual_N": pt.dual_N,
-                    "converged": pt.converged,
-                    "mu_K": _atoms_json(pt.mu_K),
-                    "mu_N": _atoms_json(pt.mu_N),
-                }
-                for pt in points
-            ]
-        }
-        _emit_doc(True, doc, args.out)
+        _emit_doc(True, {"points": records}, args.out)
         return 0
-    csv_text = rd.frontier_to_csv(points)
+    rows = [",".join(_FRONTIER_CSV_COLUMNS)] + [
+        ",".join(_csv_cell(r[name]) for name in _FRONTIER_CSV_COLUMNS) for r in records
+    ]
+    csv_text = "\n".join(rows) + "\n"
     if args.out:
         Path(args.out).write_text(csv_text, encoding="utf-8")
-        sidecar = Path(args.out + ".dists.json")
-        sidecar.write_text(rd.frontier_sidecar(points), encoding="utf-8")
+        sidecar = {"points": [{k: r[k] for k in _SIDECAR_KEYS} for r in records]}
+        Path(args.out + ".dists.json").write_text(
+            json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
     else:
         sys.stdout.write(csv_text)
     return 0

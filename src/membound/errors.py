@@ -23,7 +23,7 @@ class MemboundError(ValueError):
 
 
 class DistributionError(MemboundError):
-    """A discrete distribution or histogram violates its construction rules."""
+    """A discrete distribution violates its construction rules."""
 
 
 class DomainError(MemboundError):
@@ -35,7 +35,8 @@ class TrivialRegimeError(DomainError):
 
     For binary scores this means eps_K + eps_N >= 1 (random guessing already
     achieves the target); for log-loss it means e**-eps_K + e**-eps_N < 1
-    (no single score value can satisfy both budgets).
+    (every score in [e**-eps_K, 1 - e**-eps_N] meets both budgets, so rate 0
+    is achievable).
     """
 
 

@@ -6,6 +6,8 @@ This module provides the finite-support distribution type, the divergences
 used throughout the package (Kullback-Leibler, chi-squared), the mixture
 functional ``f_p`` that prices a key/non-key pair of score distributions in
 bits of memory per key, and estimation helpers for empirical score samples.
+A histogram estimate is itself a ``DiscreteDistribution`` with one atom per
+occupied bin at the bin's midpoint, so every measure here accepts it.
 
 Conventions
 -----------
@@ -27,7 +29,6 @@ from .errors import DistributionError, DomainError, FileFormatError
 
 __all__ = [
     "DiscreteDistribution",
-    "BinnedHistogram",
     "kl_divergence",
     "chi_squared",
     "binary_entropy",
@@ -81,10 +82,7 @@ class DiscreteDistribution:
                 merged[-1][1] += w
             else:
                 merged.append([x, w])
-        kept = tuple((x, w) for x, w in merged if w > 0.0)
-        if not kept:  # pragma: no cover - sum==1 guarantees some positive mass
-            raise DistributionError("all atoms have zero mass")
-        object.__setattr__(self, "atoms", kept)
+        object.__setattr__(self, "atoms", tuple((x, w) for x, w in merged if w > 0.0))
 
     @classmethod
     def delta(cls, location: float) -> "DiscreteDistribution":
@@ -112,54 +110,21 @@ class DiscreteDistribution:
         return float(sum(x * w for x, w in self.atoms))
 
 
-@dataclass(frozen=True)
-class BinnedHistogram:
-    """An empirical score distribution on ``bins`` equal-width bins of [0, 1].
-
-    Bin ``i`` covers ``[i/bins, (i+1)/bins)``; the last bin also includes the
-    score 1.0.  Masses are raw frequencies -- no smoothing is applied, so
-    empty bins stay empty and divergences against them are faithfully
-    infinite.
-    """
-
-    bins: int
-    masses: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.bins, int) or self.bins < 2:
-            raise DistributionError(f"bins must be an integer >= 2, got {self.bins!r}")
-        masses = tuple(float(m) for m in self.masses)
-        if len(masses) != self.bins:
-            raise DistributionError(
-                f"expected {self.bins} masses, got {len(masses)}"
-            )
-        for m in masses:
-            if not math.isfinite(m) or m < 0.0:
-                raise DistributionError(f"bin mass {m!r} negative or not finite")
-        total = math.fsum(masses)
-        if abs(total - 1.0) > MASS_TOL:
-            raise DistributionError(f"bin masses sum to {total!r}, not 1")
-        object.__setattr__(self, "masses", masses)
-
-    def masses_array(self) -> np.ndarray:
-        return np.array(self.masses, dtype=float)
-
-
-def _merged_grid(*dists: DiscreteDistribution) -> np.ndarray:
-    """Union of atom locations, sorted, deduplicated at the merge tolerance."""
-    xs = np.sort(np.concatenate([d.locations() for d in dists]))
-    keep = np.concatenate(([True], np.diff(xs) > MERGE_TOL))
-    return xs[keep]
-
-def _mass_on(dist: DiscreteDistribution, grid: np.ndarray) -> np.ndarray:
-    """Mass vector of ``dist`` on ``grid`` (which must cover its support)."""
-    out = np.zeros(grid.size)
-    locs = dist.locations()
-    idx = np.clip(np.searchsorted(grid, locs), 0, grid.size - 1)
-    below = np.clip(idx - 1, 0, grid.size - 1)
-    pick = np.where(np.abs(grid[idx] - locs) <= np.abs(locs - grid[below]), idx, below)
-    np.add.at(out, pick, dist.masses())
-    return out
+def _aligned(P: DiscreteDistribution, Q: DiscreteDistribution):
+    """``(grid, a, b)``: the sorted union of both laws' atom locations,
+    deduplicated at the merge tolerance, and each law's masses on it."""
+    xs = np.sort(np.concatenate((P.locations(), Q.locations())))
+    grid = xs[np.concatenate(([True], np.diff(xs) > MERGE_TOL))]
+    aligned = [grid]
+    for dist in (P, Q):
+        locs = dist.locations()
+        idx = np.clip(np.searchsorted(grid, locs), 0, grid.size - 1)
+        below = np.clip(idx - 1, 0, grid.size - 1)
+        pick = np.where(np.abs(grid[idx] - locs) <= np.abs(locs - grid[below]), idx, below)
+        masses = np.zeros(grid.size)
+        np.add.at(masses, pick, dist.masses())
+        aligned.append(masses)
+    return tuple(aligned)
 
 
 def _kl_vectors(p: np.ndarray, q: np.ndarray) -> float:
@@ -171,34 +136,21 @@ def _kl_vectors(p: np.ndarray, q: np.ndarray) -> float:
     return float(np.sum(pm * (np.log2(pm) - np.log2(q[mask]))))
 
 
-def _paired_masses(P, Q) -> tuple[np.ndarray, np.ndarray]:
-    """Aligned mass vectors for a pair of distributions or histograms."""
-    if isinstance(P, BinnedHistogram) or isinstance(Q, BinnedHistogram):
-        if not (isinstance(P, BinnedHistogram) and isinstance(Q, BinnedHistogram)):
-            raise DomainError("cannot mix a histogram with an atomic distribution")
-        if P.bins != Q.bins:
-            raise DomainError(f"histograms have different binning: {P.bins} vs {Q.bins}")
-        return P.masses_array(), Q.masses_array()
-    grid = _merged_grid(P, Q)
-    return _mass_on(P, grid), _mass_on(Q, grid)
-
-
-def kl_divergence(P, Q) -> float:
+def kl_divergence(P: DiscreteDistribution, Q: DiscreteDistribution) -> float:
     """Kullback-Leibler divergence KL(P || Q) in bits.
 
-    Accepts two DiscreteDistributions or two BinnedHistograms with identical
-    binning.  Returns ``+inf`` when P puts mass where Q has none.
+    Returns ``+inf`` when P puts mass where Q has none.
     """
-    p, q = _paired_masses(P, Q)
+    _, p, q = _aligned(P, Q)
     return _kl_vectors(p, q)
 
 
-def chi_squared(P, Q) -> float:
+def chi_squared(P: DiscreteDistribution, Q: DiscreteDistribution) -> float:
     """Chi-squared divergence chi2(P || Q) = sum (p-q)^2 / q over supp(Q).
 
     Returns ``+inf`` when P puts mass where Q has none.  Dimensionless.
     """
-    p, q = _paired_masses(P, Q)
+    _, p, q = _aligned(P, Q)
     if np.any((p > 0.0) & (q <= 0.0)):
         return math.inf
     mask = q > 0.0
@@ -233,8 +185,8 @@ def f_p(p: float, mu_K: DiscreteDistribution, mu_N: DiscreteDistribution) -> flo
     ``p``; as p -> 0 it increases to KL(mu_K || mu_N).
     """
     _check_density(p)
-    grid = _merged_grid(mu_K, mu_N)
-    return f_p_masses(p, _mass_on(mu_K, grid), _mass_on(mu_N, grid))
+    _, a, b = _aligned(mu_K, mu_N)
+    return f_p_masses(p, a, b)
 
 
 def f_p_masses(p: float, a: np.ndarray, b: np.ndarray) -> float:
@@ -251,9 +203,7 @@ def f_p_derivative(
     Equals ``-KL(mu_N || mu_p) / p^2``; always <= 0.
     """
     _check_density(p)
-    grid = _merged_grid(mu_K, mu_N)
-    a = _mass_on(mu_K, grid)
-    b = _mass_on(mu_N, grid)
+    _, a, b = _aligned(mu_K, mu_N)
     mix = p * a + (1.0 - p) * b
     return -_kl_vectors(b, mix) / (p * p)
 
@@ -271,18 +221,23 @@ def binarize(mu: DiscreteDistribution) -> DiscreteDistribution:
 
 def wasserstein1(P: DiscreteDistribution, Q: DiscreteDistribution) -> float:
     """1-Wasserstein (earth mover) distance on [0, 1]: integral of |F_P - F_Q|."""
-    grid = _merged_grid(P, Q)
+    grid, a, b = _aligned(P, Q)
     if grid.size == 1:
         return 0.0
-    diff = np.cumsum(_mass_on(P, grid) - _mass_on(Q, grid))
+    diff = np.cumsum(a - b)
     return float(np.sum(np.abs(diff[:-1]) * np.diff(grid)))
 
 
-def estimate_from_samples(samples: Iterable[float], bins: int = 50) -> BinnedHistogram:
+def estimate_from_samples(
+    samples: Iterable[float], bins: int = 50
+) -> DiscreteDistribution:
     """Histogram estimate of a score distribution from raw samples in [0, 1].
 
-    Uses ``bins`` equal-width bins (default 50); a sample equal to 1.0 lands
-    in the last bin.  No smoothing: empty bins keep zero mass.
+    Bin ``i`` of ``bins`` equal-width bins (default 50) covers
+    ``[i/bins, (i+1)/bins)``; a sample equal to 1.0 lands in the last bin.
+    Each occupied bin becomes one atom at its midpoint ``(i + 0.5)/bins``
+    with the bin's sample frequency as mass.  No smoothing: an empty bin
+    gets no atom, so divergences against it are faithfully infinite.
     """
     if not isinstance(bins, int) or bins < 1:
         raise DomainError(f"bins must be a positive integer, got {bins!r}")
@@ -292,7 +247,11 @@ def estimate_from_samples(samples: Iterable[float], bins: int = 50) -> BinnedHis
     if not np.all(np.isfinite(arr)) or arr.min() < 0.0 or arr.max() > 1.0:
         raise DomainError("samples must lie in [0, 1]")
     counts, _ = np.histogram(arr, bins=bins, range=(0.0, 1.0))
-    return BinnedHistogram(bins, tuple((counts / arr.size).tolist()))
+    occupied = np.nonzero(counts)[0]
+    midpoints = ((occupied + 0.5) / bins).tolist()
+    return DiscreteDistribution(
+        tuple(zip(midpoints, (counts[occupied] / arr.size).tolist()))
+    )
 
 
 def read_scores(path) -> list[float]:

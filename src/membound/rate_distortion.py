@@ -19,7 +19,6 @@ log-loss metric values and their budgets are in nats.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -47,8 +46,6 @@ __all__ = [
     "rp_binary_oracle",
     "first_order_rate",
     "memory_lower_bound",
-    "frontier_to_csv",
-    "frontier_sidecar",
 ]
 
 _LN2 = math.log(2.0)
@@ -238,8 +235,9 @@ def optimal_logloss(eps_K: float, eps_N: float) -> LogLossOptimum:
     gap = x_star + math.exp(-eps_N) - 1.0
     if gap < -_REGIME_TOL:
         raise TrivialRegimeError(
-            f"e^-eps_K + e^-eps_N = {1.0 + gap} < 1: no single score value "
-            "can meet both log-loss budgets"
+            f"e^-eps_K + e^-eps_N = {1.0 + gap} < 1: every score in "
+            "[e^-eps_K, 1 - e^-eps_N] meets both log-loss budgets, so rate 0 "
+            "is achievable"
         )
     q_star = min(1.0, eps_N / -math.log1p(-x_star))
     mu_K = DiscreteDistribution.delta(x_star)
@@ -293,18 +291,10 @@ def first_order_rate(eps_K: float, eps_N: float, p: float) -> float:
     """
     if not p >= 0.0:
         raise DomainError(f"p must be nonnegative, got {p!r}")
-    if not (eps_K >= 0.0 and eps_N >= 0.0):
-        raise DomainError("error budgets must be nonnegative")
-    if eps_K + eps_N >= 1.0:
-        raise TrivialRegimeError(
-            f"eps_K + eps_N = {eps_K + eps_N} >= 1: expansion undefined"
-        )
-    mu_K = DiscreteDistribution.bernoulli(1.0 - eps_K)
-    mu_N = DiscreteDistribution.bernoulli(eps_N)
-    kl = kl_divergence(mu_K, mu_N)
-    if math.isinf(kl):
+    best = optimal_binary(eps_K, eps_N)
+    if math.isinf(best.rate_bits_per_key):
         return math.inf
-    return kl - p * chi_squared(mu_K, mu_N) / (2.0 * _LN2)
+    return best.rate_bits_per_key - p * chi_squared(best.mu_K, best.mu_N) / (2.0 * _LN2)
 
 
 def memory_lower_bound(n: int, fp_value: float) -> float:
@@ -732,34 +722,3 @@ def solve_rp(
     return FrontierPoint(
         p, eps_K, eps_N, max(0.0, rate), mu_K, mu_N, lamK, lamN, converged
     )
-
-
-FRONTIER_CSV_HEADER = "p,eps_K,eps_N,rate_bits_per_key,dual_K,dual_N,converged"
-
-
-def frontier_to_csv(points: Sequence[FrontierPoint]) -> str:
-    """Render frontier points as CSV (full float precision, reproducible)."""
-    lines = [FRONTIER_CSV_HEADER]
-    for pt in points:
-        lines.append(
-            f"{pt.p!r},{pt.eps_K!r},{pt.eps_N!r},{pt.rate_bits_per_key!r},"
-            f"{pt.dual_K!r},{pt.dual_N!r},{'true' if pt.converged else 'false'}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def frontier_sidecar(points: Sequence[FrontierPoint]) -> str:
-    """JSON sidecar with the per-point score distributions."""
-    doc = {
-        "points": [
-            {
-                "p": pt.p,
-                "eps_K": pt.eps_K,
-                "eps_N": pt.eps_N,
-                "mu_K": {"atoms": [[x, w] for x, w in pt.mu_K.atoms]},
-                "mu_N": {"atoms": [[x, w] for x, w in pt.mu_N.atoms]},
-            }
-            for pt in points
-        ]
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -1,13 +1,18 @@
 """End-to-end tests of the command-line surface (in-process)."""
 
+import itertools
 import json
 import math
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 
-from membound import cli, deserialize
-from membound.rate_distortion import FRONTIER_CSV_HEADER
+from membound import ErrorMetric, cli, deserialize, solve_rp
+
+FRONTIER_CSV_HEADER = "p,eps_K,eps_N,rate_bits_per_key,dual_K,dual_N,converged"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -233,6 +238,71 @@ class TestFrontier:
             assert rc == 1
             assert out == ""
             assert json.loads(err)["error"] == "domain"
+
+
+class TestFrontierSerialization:
+    BUDGETS = ((0.1, 0.1), (0.05, 0.25))
+    P_VALUES = (0.01, 0.1)  # exactly the points of sweep:0.01,0.1,2,linear
+
+    @pytest.fixture(scope="class")
+    def written(self, tmp_path_factory):
+        """Per budget pair: the argv, and the CSV and sidecar that
+        ``frontier --out`` wrote for a two-point sweep."""
+        out = []
+        for eps_k, eps_n in self.BUDGETS:
+            path = tmp_path_factory.mktemp("frontier") / "f.csv"
+            argv = [
+                "frontier", "--p", "sweep:0.01,0.1,2,linear",
+                "--eps-k", repr(eps_k), "--eps-n", repr(eps_n),
+            ]
+            assert cli.main(argv + ["--out", str(path)]) == 0
+            sidecar = Path(str(path) + ".dists.json").read_text(encoding="utf-8")
+            out.append((argv, path.read_text(encoding="utf-8"), sidecar))
+        return out
+
+    def solved(self, eps_k, eps_n):
+        fnr, fpr = ErrorMetric.fnr(), ErrorMetric.fpr()
+        return [solve_rp(p, fnr, fpr, eps_k, eps_n) for p in self.P_VALUES]
+
+    def test_csv_header_and_shape(self, written):
+        for _, text, _ in written:
+            lines = text.splitlines()
+            assert lines[0] == FRONTIER_CSV_HEADER
+            assert len(lines) == 1 + len(self.P_VALUES)
+            assert text.endswith("\n")
+
+    def test_csv_round_trips_full_precision(self, written):
+        for (eps_k, eps_n), (_, text, _) in zip(self.BUDGETS, written):
+            lines = text.splitlines()[1:]
+            for line, pt in zip(lines, self.solved(eps_k, eps_n), strict=True):
+                cells = line.split(",")
+                assert float(cells[0]) == pt.p
+                assert float(cells[1]) == pt.eps_K
+                assert float(cells[2]) == pt.eps_N
+                assert float(cells[3]) == pt.rate_bits_per_key
+                assert float(cells[4]) == pt.dual_K
+                assert float(cells[5]) == pt.dual_N
+                assert cells[6] == ("true" if pt.converged else "false")
+
+    def test_csv_reproducible(self, capsys, written):
+        # Without --out the same CSV goes to stdout, byte for byte.
+        for argv, text, _ in written:
+            rc, out, err = run(capsys, *argv)
+            assert (rc, out, err) == (0, text, "")
+
+    def test_sidecar_structure(self, written):
+        for (eps_k, eps_n), (_, _, sidecar) in zip(self.BUDGETS, written):
+            doc = json.loads(sidecar)
+            assert sidecar == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+            points = self.solved(eps_k, eps_n)
+            assert len(doc["points"]) == len(points)
+            for entry, pt in zip(doc["points"], points):
+                assert sorted(entry) == ["eps_K", "eps_N", "mu_K", "mu_N", "p"]
+                assert (entry["p"], entry["eps_K"], entry["eps_N"]) == (
+                    pt.p, pt.eps_K, pt.eps_N
+                )
+                assert [tuple(a) for a in entry["mu_K"]["atoms"]] == list(pt.mu_K.atoms)
+                assert [tuple(a) for a in entry["mu_N"]["atoms"]] == list(pt.mu_N.atoms)
 
 
 class TestFilterLifecycle:
@@ -473,8 +543,15 @@ class TestEstimateKl:
         report = dict(line.split(": ", 1) for line in out.splitlines())
         assert report["kl_bits"] == "0.792481"
 
+    def test_single_bin_kl_is_zero(self, capsys, score_files):
+        # One bin holds every score on both sides, so the two laws are equal.
+        facts, nonfacts = score_files
+        doc = run_json(capsys, "estimate-kl", str(facts), str(nonfacts), "--bins", "1")
+        assert doc["kl_bits"] == 0.0
+
     def test_infeasible_budgets_are_trivial_regime(self, capsys, tmp_path):
-        # Scores this poor admit no single-value optimum for both budgets.
+        # Scores this poor give budgets so loose that one score value meets
+        # both, so the log-loss rate is 0 and there is no optimum to report.
         facts = tmp_path / "facts.txt"
         facts.write_text("0.25\n0.25\n0.75\n0.75\n")
         nonfacts = tmp_path / "nonfacts.txt"
@@ -515,3 +592,38 @@ class TestEstimateKl:
         )
         assert rc == 1
         assert json.loads(err)["error"] == "domain"
+
+
+def _readme_console_examples():
+    """(argv, shown stdout) for each ``$ membound`` command in README's
+    console block that is followed by its output."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("```console\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()  # join continued lines
+    examples = []
+    for i, line in enumerate(lines):
+        if line.startswith("$ membound "):
+            shown = itertools.takewhile(
+                lambda s: s and not s.startswith("$"), lines[i + 1 :]
+            )
+            output = "".join(s + "\n" for s in shown)
+            if output:
+                argv = shlex.split(line[len("$ membound ") :], comments=True)
+                examples.append((argv, output))
+    return examples
+
+
+def test_readme_console_examples_print_what_readme_shows(capsys):
+    # `filter query` reads f.bin, built from a keys.txt whose contents the
+    # README does not give, so only commands that read no files are run.
+    runnable = [
+        (argv, shown) for argv, shown in _readme_console_examples()
+        if "--state" not in argv
+    ]
+    assert [argv[:2] for argv, _ in runnable] == [
+        ["optimal", "binary"], ["frontier", "--p"], ["oracle", "tiny"]
+    ]
+    for argv, shown in runnable:
+        rc, out, err = run(capsys, *argv)
+        assert (rc, err) == (0, ""), argv
+        assert out == shown, argv

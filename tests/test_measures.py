@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from conftest import direct_f_p, random_distribution, random_pair_shared_support
 from membound.errors import DistributionError, DomainError, FileFormatError
 from membound.measures import (
-    BinnedHistogram,
     DiscreteDistribution,
     binarize,
     binary_entropy,
@@ -73,16 +72,6 @@ class TestDiscreteDistribution:
         assert len(set(locs)) == len(locs)
         assert all(mass > 0 for _, mass in d.atoms)
         assert math.fsum(mass for _, mass in d.atoms) == pytest.approx(1.0, abs=1e-12)
-
-
-class TestBinnedHistogram:
-    def test_rejects_single_bin(self):
-        with pytest.raises(DistributionError):
-            BinnedHistogram(1, (1.0,))
-
-    def test_rejects_bad_mass(self):
-        with pytest.raises(DistributionError):
-            BinnedHistogram(2, (0.5, 0.4))
 
 
 class TestKlDivergence:
@@ -294,24 +283,28 @@ class TestWasserstein1:
 
 class TestEstimateFromSamples:
     def test_point_mass_lands_in_middle_bin(self):
-        hist = estimate_from_samples([0.5] * 10, bins=50)
-        assert hist.masses[25] == 1.0
-        assert sum(hist.masses) == pytest.approx(1.0, abs=1e-12)
+        # Bin 25 of 50 covers [0.5, 0.52); its atom sits at the midpoint.
+        assert estimate_from_samples([0.5] * 10, bins=50).atoms == ((0.51, 1.0),)
 
     def test_two_bins(self):
         hist = estimate_from_samples([0.0, 0.0, 1.0, 1.0], bins=2)
-        assert tuple(hist.masses) == (0.5, 0.5)
+        assert hist.atoms == ((0.25, 0.5), (0.75, 0.5))
 
     def test_one_lands_in_last_bin(self):
-        hist = estimate_from_samples([1.0], bins=4)
-        assert hist.masses[-1] == 1.0
+        assert estimate_from_samples([1.0], bins=4).atoms == ((0.875, 1.0),)
+
+    def test_single_bin(self):
+        assert estimate_from_samples([0.0, 0.3, 1.0], bins=1).atoms == ((0.5, 1.0),)
 
     def test_bernoulli_frequencies(self):
         rng = np.random.default_rng(59)
         samples = (rng.random(10**4) < 0.3).astype(float).tolist()
         hist = estimate_from_samples(samples, bins=50)
+        (x0, w0), (x1, w1) = hist.atoms
+        assert (x0, x1) == (0.01, 0.99)
         band = 3.0 * math.sqrt(0.3 * 0.7 / 10**4)
-        assert abs(hist.masses[0] - 0.7) <= band
+        assert abs(w0 - 0.7) <= band
+        assert w0 + w1 == 1.0
 
     def test_rejects_empty_and_out_of_range(self):
         with pytest.raises(DomainError):
@@ -330,6 +323,36 @@ class TestEstimateFromSamples:
         narrow = estimate_from_samples([0.05] * 10, bins=10)
         spread = estimate_from_samples([0.95] * 10, bins=10)
         assert kl_divergence(narrow, spread) == math.inf
+
+    def test_kl_and_chi2_match_a_plain_binned_sum(self):
+        # Reference: count each bin in plain Python and sum over the bins with
+        # math.fsum, independent of the atoms the estimate builds.
+        rng = np.random.default_rng(67)
+        for bins in (2, 7, 50, 1000):
+            beta_2_5 = rng.beta(2.0, 5.0, 400).tolist()
+            beta_2_2 = rng.beta(2.0, 2.0, 3000).tolist()
+            for xs, ys in ((beta_2_5, beta_2_2), (beta_2_2, beta_2_5)):
+                p, q = [[0] * bins for _ in range(2)]
+                for freqs, samples in ((p, xs), (q, ys)):
+                    for x in samples:
+                        freqs[min(int(x * bins), bins - 1)] += 1
+                    freqs[:] = [c / len(samples) for c in freqs]
+                kl = chi2 = math.inf
+                if all(b > 0 for a, b in zip(p, q) if a > 0):
+                    kl = math.fsum(a * math.log2(a / b) for a, b in zip(p, q) if a > 0)
+                    chi2 = math.fsum((a - b) ** 2 / b for a, b in zip(p, q) if b > 0)
+                hist_p = estimate_from_samples(xs, bins)
+                hist_q = estimate_from_samples(ys, bins)
+                assert kl_divergence(hist_p, hist_q) == pytest.approx(kl, abs=1e-12)
+                assert chi_squared(hist_p, hist_q) == pytest.approx(chi2, abs=1e-12)
+
+    def test_every_measure_accepts_an_estimate(self):
+        narrow = estimate_from_samples([0.05] * 10, bins=10)
+        spread = estimate_from_samples([0.95] * 10, bins=10)
+        assert wasserstein1(narrow, spread) == pytest.approx(0.9, abs=1e-15)
+        # Disjoint supports: the tester knows membership exactly, h(p)/p bits.
+        assert f_p(0.5, narrow, spread) == pytest.approx(2.0, abs=1e-12)
+        assert f_p_derivative(0.5, narrow, spread) == pytest.approx(-4.0, abs=1e-12)
 
 
 class TestReadScores:

@@ -1,7 +1,6 @@
 """Tests for frontier solving, closed forms, and the rate bounds."""
 
 import itertools
-import json
 import math
 
 import numpy as np
@@ -28,11 +27,6 @@ from membound import (
     wasserstein1,
 )
 from membound import cli, rate_distortion
-from membound.rate_distortion import (
-    FRONTIER_CSV_HEADER,
-    frontier_sidecar,
-    frontier_to_csv,
-)
 
 B = DiscreteDistribution.bernoulli
 D = DiscreteDistribution.delta
@@ -176,6 +170,25 @@ class TestOptimalLogloss:
     def test_trivial_regime(self):
         with pytest.raises(TrivialRegimeError):
             optimal_logloss(2.0, 2.0)
+
+    def test_trivial_regime_budgets_are_met_by_one_score(self):
+        # Below the regime boundary the budgets are loose, not unattainable:
+        # every x in [e^-eps_K, 1 - e^-eps_N] meets both, so the rate is 0.
+        eps_K = eps_N = 1.0
+        with pytest.raises(TrivialRegimeError) as err:
+            optimal_logloss(eps_K, eps_N)
+        assert "every score in [e^-eps_K, 1 - e^-eps_N] meets both" in str(err.value)
+        assert "rate 0 is achievable" in str(err.value)
+        lo, hi = math.exp(-eps_K), 1.0 - math.exp(-eps_N)
+        for x in np.linspace(lo, hi, 9)[1:-1]:
+            assert metric_value(ErrorMetric.logloss_key(), x) <= eps_K
+            assert metric_value(ErrorMetric.logloss_nonkey(), x) <= eps_N
+        point = solve_rp(
+            0.1, ErrorMetric.logloss_key(), ErrorMetric.logloss_nonkey(), eps_K, eps_N
+        )
+        assert point.rate_bits_per_key == 0.0
+        assert point.mu_K == point.mu_N
+        assert point.mu_K.atoms[0][0] == pytest.approx(lo, abs=1e-12)
 
     def test_nonpositive_budgets_rejected(self):
         with pytest.raises(DomainError):
@@ -612,44 +625,3 @@ class TestInnerSolve:
                     best = max(best, phi(wK[i] + t * da, wN[i] + t * db))
             assert phi(a, b) == pytest.approx(best, rel=1e-12, abs=1e-12)
 
-
-@pytest.fixture(scope="module")
-def points():
-    fnr, fpr = ErrorMetric.fnr(), ErrorMetric.fpr()
-    return [
-        solve_rp(0.1, fnr, fpr, 0.1, 0.1),
-        solve_rp(0.1, fnr, fpr, 0.05, 0.25),
-    ]
-
-
-class TestFrontierSerialization:
-
-    def test_csv_header_and_shape(self, points):
-        text = frontier_to_csv(points)
-        lines = text.splitlines()
-        assert lines[0] == FRONTIER_CSV_HEADER
-        assert len(lines) == 1 + len(points)
-        assert text.endswith("\n")
-
-    def test_csv_round_trips_full_precision(self, points):
-        lines = frontier_to_csv(points).splitlines()[1:]
-        for line, pt in zip(lines, points):
-            cells = line.split(",")
-            assert float(cells[0]) == pt.p
-            assert float(cells[1]) == pt.eps_K
-            assert float(cells[2]) == pt.eps_N
-            assert float(cells[3]) == pt.rate_bits_per_key
-            assert float(cells[4]) == pt.dual_K
-            assert float(cells[5]) == pt.dual_N
-            assert cells[6] == ("true" if pt.converged else "false")
-
-    def test_csv_reproducible(self, points):
-        assert frontier_to_csv(points) == frontier_to_csv(points)
-
-    def test_sidecar_structure(self, points):
-        doc = json.loads(frontier_sidecar(points))
-        assert len(doc["points"]) == len(points)
-        for entry, pt in zip(doc["points"], points):
-            assert entry["p"] == pt.p
-            assert [tuple(a) for a in entry["mu_K"]["atoms"]] == list(pt.mu_K.atoms)
-            assert [tuple(a) for a in entry["mu_N"]["atoms"]] == list(pt.mu_N.atoms)
