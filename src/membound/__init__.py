@@ -46,7 +46,6 @@ from .rate_distortion import (
 )
 from .galois import (
     FieldVector,
-    PrimeField,
     WordStream,
     is_prime,
 )
@@ -109,7 +108,6 @@ __all__ = [
     "memory_lower_bound",
     "solve_rp",
     # galois
-    "PrimeField",
     "FieldVector",
     "WordStream",
     "is_prime",

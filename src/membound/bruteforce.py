@@ -46,13 +46,12 @@ def exhaustive_fpr(y: FieldVector) -> Fraction:
     returns the exact rational count / q**m: 1/q for every nonzero ``y``
     and 1 for ``y = 0``.  Refuses instances beyond 2**24 rows.
     """
-    q, m = y.field.q, len(y)
+    q, m = y.q, len(y)
     if m * math.log2(q) > _MAX_ROW_BITS + 1e-9:
         raise EnumerationTooLargeError(
             f"q**m = {q}**{m} exceeds the 2**{_MAX_ROW_BITS} row enumeration limit"
         )
     total = q**m
-    coords = [int(c) for c in y.coords]
     count = 0
     chunk = 1 << 20
     for lo in range(0, total, chunk):
@@ -60,7 +59,7 @@ def exhaustive_fpr(y: FieldVector) -> Fraction:
         acc = np.zeros(ids.shape[0], dtype=np.int64)
         for j in range(m):
             digit = (ids // q**j) % q
-            acc = (acc + digit * coords[j]) % q
+            acc = (acc + digit * y.array[j]) % q
         count += int((acc == 0).sum())
     return Fraction(count, total)
 

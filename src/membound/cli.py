@@ -3,7 +3,7 @@
 One subcommand per capability: closed-form optimizers, frontier sweeps,
 the filter lifecycle (build / query / bench), brute-force oracles, and
 histogram KL estimation from score files.  Output is plain text with 6
-significant digits, or full-precision JSON with ``--json``; frontier
+significant digits, or full-precision strict JSON with ``--json``; frontier
 sweeps emit a full-precision CSV whose schema is defined here, next to the
 ``--out`` sidecar of per-point score laws.
 
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from functools import partial
@@ -97,14 +98,27 @@ def _text_value(value) -> str:
     return str(value)
 
 
+def _finite_json(value):
+    """``value`` with each non-finite float as the string "inf", "-inf" or "nan"."""
+    if isinstance(value, dict):
+        return {key: _finite_json(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_json(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(float(value))
+    return value
+
+
 def _emit_doc(
     as_json: bool, doc: dict, out: Optional[str], text: Optional[str] = None
 ) -> None:
-    """Write ``doc`` as JSON (a ``Fraction`` as ``[a, b]``), or as text:
+    """Write ``doc`` as strict JSON (RFC 8259; a ``Fraction`` as ``[a, b]``, a
+    non-finite float as a string that ``float()`` reads back), or as text:
     ``text`` when given, else one ``key: value`` line per entry."""
     if as_json:
         text = json.dumps(
-            doc, indent=2, sort_keys=True, default=Fraction.as_integer_ratio
+            _finite_json(doc), indent=2, sort_keys=True, allow_nan=False,
+            default=Fraction.as_integer_ratio,
         )
     elif text is None:
         text = "\n".join(f"{key}: {_text_value(v)}" for key, v in doc.items())
@@ -203,9 +217,7 @@ def _run_frontier(args) -> int:
     if args.out:
         Path(args.out).write_text(csv_text, encoding="utf-8")
         sidecar = {"points": [{k: r[k] for k in _SIDECAR_KEYS} for r in records]}
-        Path(args.out + ".dists.json").write_text(
-            json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        _emit_doc(True, sidecar, args.out + ".dists.json")
     else:
         sys.stdout.write(csv_text)
     return 0

@@ -33,7 +33,6 @@ import numpy as np
 from .errors import DomainError, FileFormatError, TrivialRegimeError
 from .galois import (
     FieldVector,
-    PrimeField,
     WordStream,
     is_prime,
     matmul_mod,
@@ -73,12 +72,17 @@ _MAX_SEARCH_BUDGET = 10**7
 _WILSON_Z99 = 2.5758293035489004
 
 
+def _as_fraction(name: str, value) -> Fraction:
+    """The nearest fraction with a 32-bit denominator to a finite number."""
+    try:
+        return Fraction(value).limit_denominator(_MAX_DENOMINATOR)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"{name} {value!r} is not a finite number") from exc
+
+
 def _as_error_fraction(eps_K) -> Fraction:
     """Canonical exact representation of the target false-negative rate."""
-    try:
-        frac = Fraction(eps_K).limit_denominator(_MAX_DENOMINATOR)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"eps_K {eps_K!r} is not a number") from exc
+    frac = _as_fraction("eps_K", eps_K)
     if not 0 <= frac < 1:
         raise DomainError(f"eps_K must lie in [0, 1); got {eps_K!r}")
     return frac
@@ -86,10 +90,7 @@ def _as_error_fraction(eps_K) -> Fraction:
 
 def _prime_reciprocal(eps_N) -> int:
     """The prime q with eps_N == 1/q, or an error for any other target."""
-    try:
-        frac = Fraction(eps_N).limit_denominator(_MAX_DENOMINATOR)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"eps_N {eps_N!r} is not a number") from exc
+    frac = _as_fraction("eps_N", eps_N)
     if (
         frac.numerator != 1
         or not is_prime(frac.denominator)
@@ -103,14 +104,11 @@ def _prime_reciprocal(eps_N) -> int:
 
 @dataclass(frozen=True)
 class FilterParams:
-    """Sizing of a filter instance.
-
-    The fields n, eps_K, q, m and seed are the values a serialized header
-    stores; ``search_budget`` caps the two-sided candidate scan.  ``eps_K``
-    is held as an exact rational so the satisfied-key threshold and the
-    serialized header are platform-independent.  ``m`` follows the sizing
-    rule ``ceil((n*D + t_n)/log2 q)`` whenever ``n >= 1``; the degenerate
-    ``n = 0`` instance accepts any positive ``m``.
+    """Sizing of a filter instance: exactly the values its serialized header
+    stores, from which everything else is derived.  ``eps_K`` is an exact
+    rational so the threshold and the header are platform-independent.
+    ``m`` follows the sizing rule ``ceil((n*D + t_n)/log2 q)`` whenever
+    ``n >= 1``; the degenerate ``n = 0`` instance accepts any positive ``m``.
     """
 
     n: int
@@ -118,7 +116,6 @@ class FilterParams:
     q: int
     m: int
     seed: int
-    search_budget: int
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 0:
@@ -135,10 +132,6 @@ class FilterParams:
             raise DomainError(
                 f"m={self.m} violates the sizing rule for "
                 f"(n={self.n}, eps_K={self.eps_K}, q={self.q})"
-            )
-        if not isinstance(self.search_budget, int) or self.search_budget < 1:
-            raise DomainError(
-                f"search budget {self.search_budget!r} must be a positive integer"
             )
 
     @property
@@ -159,6 +152,13 @@ class FilterParams:
         serialized header are unchanged.
         """
         return self.q**self.m
+
+    @property
+    def search_budget(self) -> int:
+        """Candidates a two-sided build may try: ``min(q**m - 1, 10**7)``."""
+        if self.m * math.log2(self.q) > 64:  # do not compute a huge q**m
+            return _MAX_SEARCH_BUDGET
+        return min(self.capacity - 1, _MAX_SEARCH_BUDGET)
 
     @property
     def bits_payload(self) -> int:
@@ -184,13 +184,6 @@ def _require_informative(eps_K: Fraction, q: int) -> None:
         )
 
 
-def _default_search_budget(q: int, m: int) -> int:
-    """``min(q**m - 1, 10**7)``, computing ``q**m`` only when it spans <= 64 bits."""
-    if m * math.log2(q) > 64:
-        return _MAX_SEARCH_BUDGET
-    return min(q**m - 1, _MAX_SEARCH_BUDGET)
-
-
 def _sized_m(n: int, eps_K: Fraction, q: int) -> int:
     rate = optimal_binary(float(eps_K), 1.0 / q).rate_bits_per_key
     return math.ceil((n * rate + float(n) ** (2.0 / 3.0)) / math.log2(q))
@@ -201,8 +194,8 @@ def derive_params(n: int, eps_K, eps_N, seed: int) -> FilterParams:
 
     ``eps_N`` must be the reciprocal of a prime — the accept set is a
     hyperplane, so only rates of the form 1/q are achievable exactly and
-    nothing is silently rounded.  The candidate budget for two-sided
-    builds defaults to ``min(q**m - 1, 10**7)``.
+    nothing is silently rounded.  Non-finite or non-numeric targets raise
+    ``DomainError``.
     """
     if not isinstance(n, int) or n < 1:
         raise DomainError(f"key count {n!r} must be a positive integer")
@@ -212,7 +205,7 @@ def derive_params(n: int, eps_K, eps_N, seed: int) -> FilterParams:
     # exact, so the exact one comes first.
     _require_informative(eps_K, q)
     m = _sized_m(n, eps_K, q)
-    return FilterParams(n, eps_K, q, m, seed, _default_search_budget(q, m))
+    return FilterParams(n, eps_K, q, m, seed)
 
 
 @dataclass(frozen=True)
@@ -223,21 +216,21 @@ class FilterState:
     y: FieldVector
 
     def __post_init__(self) -> None:
-        if self.y.field.q != self.params.q:
+        if self.y.q != self.params.q:
             raise DomainError(
-                f"vector field GF({self.y.field.q}) does not match q={self.params.q}"
+                f"vector field GF({self.y.q}) does not match q={self.params.q}"
             )
         if len(self.y) != self.params.m:
             raise DomainError(
                 f"vector length {len(self.y)} does not match m={self.params.m}"
             )
-        if self.y.is_zero():
+        if not self.y.array.any():
             raise DomainError("the filter vector y must be nonzero")
 
     @cached_property
     def _support(self) -> tuple[np.ndarray, np.ndarray]:
         """The columns where ``y`` is nonzero, and ``y`` on them, built on first use."""
-        y = self.y.as_array()
+        y = self.y.array
         columns = np.flatnonzero(y)
         return columns, y[columns]
 
@@ -259,21 +252,17 @@ def _require_bytes(elements: Sequence[bytes]) -> None:
 
 
 def _hash_rows(
-    params: FilterParams,
-    field: PrimeField,
-    elements: Sequence[bytes],
-    columns: np.ndarray | None = None,
+    params: FilterParams, elements: Sequence[bytes], columns: np.ndarray | None = None
 ) -> np.ndarray:
     """Hash rows in GF(q)^m for each element, as an int64 matrix.
 
-    ``field`` is GF(params.q), built once by the caller.  Every element is
-    checked before any is hashed; the rows then come from one batched
-    ``sample_field_elements`` call over the elements' streams, restricted
-    to ``columns`` when given.
+    Every element is checked before any is hashed; the rows then come from
+    one batched ``sample_field_elements`` call over the elements' streams,
+    restricted to ``columns`` when given.
     """
     _require_bytes(elements)
     streams = [WordStream(params.seed, _ELEMENT_TAG + e) for e in elements]
-    return sample_field_elements(streams, field, 0, params.m, columns)
+    return sample_field_elements(streams, params.q, 0, params.m, columns)
 
 
 def build(
@@ -281,13 +270,13 @@ def build(
 ) -> tuple[FilterState | None, BuildReport]:
     """Choose the filter vector ``y`` for a key set.
 
-    With ``eps_K = 0`` the vector is an exact kernel vector of the key
-    rows (it always exists because ``m > n``).  Otherwise candidates are
-    drawn from the seeded stream in a fixed order and the first one
-    satisfying at least ``ceil((1-eps_K)*n)`` keys wins, so rebuilding
-    with the same inputs — even with a concurrent scan, as long as the
-    lowest-index success is kept — returns an identical state.  If the
-    candidate budget runs out the state is None and the report carries
+    With ``eps_K = 0`` or no keys the vector is an exact kernel vector of
+    the key rows (it exists because ``m > n``; no rows give e_0).  Otherwise
+    candidates are drawn from the seeded stream in a fixed order and the
+    first one satisfying at least ``ceil((1-eps_K)*n)`` keys wins, so
+    rebuilding with the same inputs — even with a concurrent scan, as long
+    as the lowest-index success is kept — returns an identical state.  If
+    the candidate budget runs out the state is None and the report carries
     ``success=False``.
     """
     keys = list(keys)
@@ -295,20 +284,15 @@ def build(
         raise DomainError(f"expected {params.n} keys, got {len(keys)}")
     if len(set(keys)) != len(keys):
         raise DomainError("keys must be distinct")
-    field = PrimeField(params.q)
-    if params.n == 0:
-        y = FieldVector(field, (1,) + (0,) * (params.m - 1))
-        return FilterState(params, y), BuildReport(0, 0, params.bits_payload, True)
-
-    rows = _hash_rows(params, field, keys)
+    rows = _hash_rows(params, keys)
     threshold = params.threshold
 
-    if params.eps_K == 0:
+    if params.eps_K == 0 or params.n == 0:
         kernel = nullspace_of_matrix(rows, params.q)
         # m = n + ceil(t_n/log2 q) > n bounds the rank below m, so a
         # nonzero kernel vector always exists.
         satisfied = int((matmul_mod(rows, kernel, params.q) == 0).sum())
-        state = FilterState(params, FieldVector.from_array(field, kernel))
+        state = FilterState(params, FieldVector(params.q, kernel))
         return state, BuildReport(
             satisfied, 0, params.bits_payload, satisfied >= threshold
         )
@@ -321,7 +305,7 @@ def build(
     while tried < budget:
         want = min(_BATCH, budget - tried)
         block = sample_field_elements(
-            stream, field, cursor * params.m, want * params.m
+            stream, params.q, cursor * params.m, want * params.m
         ).reshape(want, params.m)
         cursor += want
         candidates = block[block.any(axis=1)]
@@ -336,7 +320,7 @@ def build(
             tried += first + 1
             winner = candidates[first]
             satisfied = int((matmul_mod(rows, winner, params.q) == 0).sum())
-            state = FilterState(params, FieldVector.from_array(field, winner))
+            state = FilterState(params, FieldVector(params.q, winner))
             return state, BuildReport(
                 satisfied, tried, params.bits_payload, satisfied >= threshold
             )
@@ -362,7 +346,7 @@ def query_many(state: FilterState, elements: Sequence[bytes]) -> np.ndarray:
     out = np.empty(len(elements), dtype=np.int64)
     for lo in range(0, len(elements), _BATCH):
         chunk = elements[lo : lo + _BATCH]
-        rows = _hash_rows(params, state.y.field, chunk, columns)
+        rows = _hash_rows(params, chunk, columns)
         out[lo : lo + len(chunk)] = matmul_mod(rows, y, params.q) == 0
         del rows  # free this batch before the next one is hashed
     return out
@@ -387,7 +371,7 @@ def serialize(state: FilterState) -> bytes:
         p.seed,
     )
     value = 0
-    for c in reversed(state.y.coords):
+    for c in reversed(state.y.array.tolist()):
         value = value * p.q + c
     return header + value.to_bytes(p.payload_bytes, "little")
 
@@ -407,14 +391,7 @@ def deserialize(data: bytes) -> FilterState:
     if eps_num >= eps_den or math.gcd(eps_num, eps_den) != 1:
         raise FileFormatError(f"invalid eps_K rational {eps_num}/{eps_den}")
     try:
-        params = FilterParams(
-            n=n,
-            eps_K=Fraction(eps_num, eps_den),
-            q=q,
-            m=m,
-            seed=seed,
-            search_budget=_default_search_budget(q, m) if q > 1 else 1,
-        )
+        params = FilterParams(n, Fraction(eps_num, eps_den), q, m, seed)
     except DomainError as exc:
         raise FileFormatError(f"inconsistent header: {exc}") from exc
     payload = data[_HEADER.size :]
@@ -438,7 +415,7 @@ def deserialize(data: bytes) -> FilterState:
         coords.append(value % q)
         value //= q
     try:
-        return FilterState(params, FieldVector(PrimeField(q), tuple(coords)))
+        return FilterState(params, FieldVector(q, np.array(coords, dtype=np.int64)))
     except DomainError as exc:
         raise FileFormatError(str(exc)) from exc
 

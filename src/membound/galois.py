@@ -3,7 +3,7 @@
 The filter stores one linear functional over GF(q) (q prime) and tests
 whether hashed element rows lie in its kernel.  This module provides:
 
-* ``PrimeField`` / ``FieldVector`` -- validated value types;
+* ``FieldVector`` -- a vector over GF(q): q and one read-only int64 array;
 * ``matmul_mod`` -- ``a @ b mod q`` on int64 arrays, exact for every prime
   q < 2**32 and every inner length m < 2**31: one float64 BLAS matmul for a
   matrix ``b`` while m*(q-1)**2 < 2**53, one int64 matmul while
@@ -29,7 +29,6 @@ whether hashed element rows lie in its kernel.  This module provides:
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import operator
 from dataclasses import dataclass
@@ -40,7 +39,6 @@ import numpy as np
 from .errors import DomainError, FieldError
 
 __all__ = [
-    "PrimeField",
     "FieldVector",
     "is_prime",
     "matmul_mod",
@@ -82,52 +80,44 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeField:
-    """The field of integers modulo a prime ``q``."""
+@dataclass(frozen=True, eq=False)
+class FieldVector:
+    """A vector over GF(q): a prime ``int`` ``q`` and a read-only int64 copy
+    of ``array``, which must be a 1-D integer array with entries in [0, q)."""
 
     q: int
+    array: np.ndarray
 
     def __post_init__(self) -> None:
         if not isinstance(self.q, int) or not is_prime(self.q):
             raise FieldError(f"modulus {self.q!r} is not prime")
-
-    def check_element(self, a: int) -> int:
-        if not isinstance(a, (int, np.integer)) or not (0 <= a < self.q):
-            raise FieldError(f"{a!r} is not an element of GF({self.q})")
-        return int(a)
-
-
-@dataclass(frozen=True)
-class FieldVector:
-    """A fixed-length vector with entries in GF(q)."""
-
-    field: PrimeField
-    coords: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        coords = tuple(self.field.check_element(c) for c in self.coords)
-        object.__setattr__(self, "coords", coords)
-
-    @classmethod
-    def from_array(cls, field: PrimeField, arr) -> "FieldVector":
-        return cls(field, tuple(int(v) for v in np.asarray(arr).tolist()))
-
-    def as_array(self) -> np.ndarray:
-        """The coordinates as a read-only int64 array, built on first use."""
-        return self._array
-
-    @functools.cached_property
-    def _array(self) -> np.ndarray:
-        arr = np.array(self.coords, dtype=np.int64)
+        try:
+            arr = np.asarray(self.array)
+        except ValueError as exc:
+            raise FieldError(f"coordinates are not an array: {exc}") from exc
+        if arr.ndim != 1 or arr.dtype.kind not in "iu" or (
+            arr.size and not (0 <= arr.min() and arr.max() < self.q)
+        ):
+            raise FieldError(f"coordinates must be a 1-D integer array in [0, {self.q})")
+        arr = arr.astype(np.int64)
         arr.flags.writeable = False
-        return arr
+        object.__setattr__(self, "array", arr)
+
+    @property
+    def coords(self) -> tuple[int, ...]:
+        """The coordinates as a tuple of Python ints."""
+        return tuple(self.array.tolist())
 
     def __len__(self) -> int:
-        return len(self.coords)
+        return len(self.array)
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FieldVector):
+            return NotImplemented
+        return self.q == other.q and np.array_equal(self.array, other.array)
+
+    def __hash__(self) -> int:
+        return hash((self.q, self.array.tobytes()))
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
@@ -399,7 +389,7 @@ _BLOCK = 1 << 16
 
 def sample_field_elements(
     stream: WordStream | Sequence[WordStream],
-    field: PrimeField,
+    q: int,
     start: int,
     count: int,
     columns: np.ndarray | None = None,
@@ -438,9 +428,9 @@ def sample_field_elements(
         ):
             raise DomainError("columns must be a 1-D array of integers in [0, count)")
         draws = columns.astype(np.uint64) + np.uint64(start)
-    q = np.uint64(field.q)
     # 0 when q = 2, where 2**64 itself is the threshold.
-    threshold = np.uint64(_rejection_threshold(field.q) % (1 << 64))
+    threshold = np.uint64(_rejection_threshold(q) % (1 << 64))
+    q = np.uint64(q)
     bases = np.array([s._base for s in streams], dtype=np.uint64).reshape(-1, 1)
     out = np.empty((len(streams), draws.size), dtype=np.int64)
     words = out.view(np.uint64)

@@ -27,7 +27,6 @@ from membound import (
     DiscreteDistribution,
     ErrorMetric,
     FieldVector,
-    PrimeField,
     TinyTesterSpec,
     binarize,
     build,
@@ -152,11 +151,10 @@ class TestFilterExactness:
         import itertools
 
         for q in (2, 3, 5):
-            field = PrimeField(q)
             for m in (1, 2, 3, 4):
                 for coords in itertools.product(range(q), repeat=m):
                     if any(coords):
-                        assert exhaustive_fpr(FieldVector(field, coords)) == Fraction(
+                        assert exhaustive_fpr(FieldVector(q, coords)) == Fraction(
                             1, q
                         )
 

@@ -13,7 +13,6 @@ from membound import (
     EnumerationTooLargeError,
     FieldVector,
     ParetoPoint,
-    PrimeField,
     TinyTesterSpec,
     exhaustive_fpr,
     f_p,
@@ -26,38 +25,37 @@ B = DiscreteDistribution.bernoulli
 
 class TestExhaustiveFpr:
     def test_zero_vector_accepts_everything(self):
-        y = FieldVector(PrimeField(2), (0, 0, 0))
+        y = FieldVector(2, (0, 0, 0))
         assert exhaustive_fpr(y) == Fraction(1)
 
     def test_gf2_example(self):
-        y = FieldVector(PrimeField(2), (1, 0, 1))
+        y = FieldVector(2, (1, 0, 1))
         assert exhaustive_fpr(y) == Fraction(1, 2)
 
     def test_gf3_example(self):
-        y = FieldVector(PrimeField(3), (1, 2))
+        y = FieldVector(3, (1, 2))
         assert exhaustive_fpr(y) == Fraction(1, 3)
 
     def test_every_nonzero_vector_accepts_one_in_q(self):
         for q in (2, 3, 5):
-            field = PrimeField(q)
             for m in (1, 2, 3, 4):
                 for coords in itertools.product(range(q), repeat=m):
                     if not any(coords):
                         continue
-                    got = exhaustive_fpr(FieldVector(field, coords))
+                    got = exhaustive_fpr(FieldVector(q, coords))
                     assert got == Fraction(1, q)
                     assert isinstance(got, Fraction)
 
     def test_multi_chunk_enumeration(self):
         # 2**21 rows span several enumeration chunks.
-        y = FieldVector(PrimeField(2), (1,) + (0,) * 20)
+        y = FieldVector(2, (1,) + (0,) * 20)
         assert exhaustive_fpr(y) == Fraction(1, 2)
 
     def test_instance_size_limit(self):
         with pytest.raises(EnumerationTooLargeError):
-            exhaustive_fpr(FieldVector(PrimeField(2), (1,) * 25))
+            exhaustive_fpr(FieldVector(2, (1,) * 25))
         with pytest.raises(EnumerationTooLargeError):
-            exhaustive_fpr(FieldVector(PrimeField(5), (1,) * 11))
+            exhaustive_fpr(FieldVector(5, (1,) * 11))
 
 
 class TestTinyTesterSpec:

@@ -452,6 +452,21 @@ class TestFilterLifecycle:
         assert rc == 1
         assert json.loads(err)["error"] == "domain"
 
+    @pytest.mark.parametrize(
+        "eps_k,eps_n",
+        [("inf", "0.5"), ("-inf", "0.5"), ("1e400", "0.5"), ("0", "inf"), ("0", "-inf")],
+    )
+    def test_non_finite_eps_is_domain_error(self, capsys, keys_file, tmp_path, eps_k, eps_n):
+        blob = tmp_path / "f.bin"
+        rc, out, err = run(
+            capsys, "filter", "build", "--keys", str(keys_file),
+            f"--eps-k={eps_k}", f"--eps-n={eps_n}", "--out", str(blob),
+        )
+        assert (rc, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "domain"
+        assert not blob.exists()
+
     def test_corrupt_state_is_file_format_error(self, capsys, tmp_path, built_filter):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"XX" + built_filter.read_bytes()[2:])
@@ -592,6 +607,61 @@ class TestEstimateKl:
         )
         assert rc == 1
         assert json.loads(err)["error"] == "domain"
+
+
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not JSON (RFC 8259)")
+
+
+def _strict_json_commands(tmp_path):
+    """argv (without ``--json``) for every subcommand that takes ``--json``,
+    with the two inputs that make non-finite floats: a KL of inf and an
+    infinite budget.  The files named are in ``tmp_path``."""
+    keys, blob = tmp_path / "keys.txt", tmp_path / "f.bin"
+    facts, nonfacts = tmp_path / "facts.txt", tmp_path / "nonfacts.txt"
+    build = ["filter", "build", "--keys", str(keys), "--eps-k", "0", "--eps-n", "0.5"]
+    return {
+        "optimal-binary": ["optimal", "binary", "--eps-k", "0.1", "--eps-n", "0.1"],
+        "optimal-logloss": ["optimal", "logloss", "--eps-k", "0.1", "--eps-n", "0.2"],
+        "frontier": ["frontier", "--p", "0.1", "--eps-k", "0.1", "--eps-n", "0.1"],
+        "frontier-inf-budget": ["frontier", "--p", "0.1", "--eps-k", "0.1", "--eps-n", "inf"],
+        "filter-build": build + ["--out", str(blob)],
+        "filter-bench": ["filter", "bench", "--state", str(blob), "--keys", str(keys), "--trials", "100"],
+        "oracle-tiny": ["oracle", "tiny", "--u", "4", "--n", "1", "--bits", "1"],
+        "oracle-fpr": ["oracle", "fpr", "--state", str(blob)],
+        "estimate-kl": ["estimate-kl", str(facts), str(nonfacts), "--bins", "2"],
+        "estimate-kl-inf": ["estimate-kl", str(facts), str(nonfacts), "--bins", "10"],
+    }
+
+
+@pytest.mark.parametrize("case", list(_strict_json_commands(Path("."))))
+def test_every_json_output_parses_strictly(capsys, tmp_path, case):
+    (tmp_path / "keys.txt").write_bytes(b"".join(b"k%d\n" % i for i in range(10)))
+    (tmp_path / "facts.txt").write_text("0.95\n0.96\n")
+    (tmp_path / "nonfacts.txt").write_text("0.05\n0.06\n0.5\n")
+    commands = _strict_json_commands(tmp_path)
+    if case in ("filter-bench", "oracle-fpr"):
+        assert run(capsys, *commands["filter-build"])[0] == 0
+    rc, out, err = run(capsys, *commands[case], "--json")
+    assert (rc, err) == (0, "")
+    doc = json.loads(out, parse_constant=_refuse_constant)
+    if case == "frontier-inf-budget":
+        assert doc["points"][0]["eps_N"] == "inf"
+    if case == "estimate-kl-inf":
+        assert doc["kl_bits"] == "inf" and float(doc["kl_bits"]) == math.inf
+
+
+def test_frontier_sidecar_parses_strictly(capsys, tmp_path):
+    out = tmp_path / "inf.csv"
+    rc, _, err = run(
+        capsys, "frontier", "--p", "0.1", "--eps-k", "0.1", "--eps-n", "inf",
+        "--out", str(out),
+    )
+    assert (rc, err) == (0, "")
+    assert out.read_text().splitlines()[1].split(",")[2] == "inf"
+    sidecar = Path(str(out) + ".dists.json").read_text()
+    doc = json.loads(sidecar, parse_constant=_refuse_constant)
+    assert doc["points"][0]["eps_N"] == "inf"
 
 
 def _readme_console_examples():

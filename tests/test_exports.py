@@ -32,6 +32,7 @@ def test_every_exported_name_resolves(name):
         "frontier_to_csv",
         "frontier_sidecar",
         "FRONTIER_CSV_HEADER",
+        "PrimeField",
     ],
 )
 def test_deleted_solver_apis_are_gone(name):
@@ -45,3 +46,9 @@ def test_word_stream_keeps_only_its_base():
     # The sampler mixes every word from the stream's base itself.
     for method in ("word", "words_at", "word_block", "_mix"):
         assert not hasattr(membound.WordStream, method)
+
+
+def test_field_vector_keeps_only_its_array():
+    # The coordinates live in one array; there is no second representation.
+    for method in ("from_array", "as_array", "is_zero", "_array"):
+        assert not hasattr(membound.FieldVector, method)

@@ -100,6 +100,15 @@ class TestDeriveParams:
         with pytest.raises(TrivialRegimeError):
             derive_params(10, 0.5, 0.5, 0)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_targets_are_domain_errors(self, bad):
+        with pytest.raises(DomainError, match="eps_K"):
+            derive_params(10, bad, 0.5, 0)
+        with pytest.raises(DomainError, match="eps_N"):
+            derive_params(10, 0, bad, 0)
+        with pytest.raises(DomainError, match="eps_K"):
+            FilterParams(n=0, eps_K=bad, q=2, m=3, seed=0)
+
     def test_key_count_validation(self):
         for n in (0, -1, 1.5):
             with pytest.raises(DomainError):
@@ -137,19 +146,21 @@ class TestFilterParams:
 
     def test_fields_are_the_header_values_and_the_budget(self):
         names = [f.name for f in dataclasses.fields(FilterParams)]
-        assert names == ["n", "eps_K", "q", "m", "seed", "search_budget"]
+        assert names == ["n", "eps_K", "q", "m", "seed"]
+        # The budget is derived from q and m and cannot be set.
+        params = derive_params(12, 0.25, 0.5, 0)
+        assert params.search_budget == 2**params.m - 1
+        with pytest.raises(TypeError):
+            dataclasses.replace(params, search_budget=1)
+        wide = derive_params(100, 0, 1.0 / 4294967291, 0)
+        assert wide.search_budget == 10**7
 
     def test_composite_modulus_rejected(self):
         with pytest.raises(DomainError):
-            FilterParams(n=0, eps_K=0, q=4, m=3, seed=0, search_budget=1)
-
-    def test_budget_validation(self):
-        params = derive_params(12, 0.25, 0.5, 0)
-        with pytest.raises(DomainError):
-            dataclasses.replace(params, search_budget=0)
+            FilterParams(n=0, eps_K=0, q=4, m=3, seed=0)
 
     def test_degenerate_empty_instance(self):
-        params = FilterParams(n=0, eps_K=0, q=2, m=3, seed=0, search_budget=1)
+        params = FilterParams(n=0, eps_K=0, q=2, m=3, seed=0)
         assert params.threshold == 0
         assert params.bits_payload == 3
 
@@ -162,6 +173,13 @@ class TestFilterParams:
         assert "capacity" not in {f.name for f in dataclasses.fields(params)}
         fresh = derive_params(1000, 0, 1.0 / 3.0, 0)
         assert fresh == params and hash(fresh) == hash(params)
+
+    def test_state_checks_the_vector_against_the_header(self):
+        params = FilterParams(n=0, eps_K=0, q=3, m=3, seed=0)
+        assert FilterState(params, galois.FieldVector(3, (0, 2, 0))).y.coords == (0, 2, 0)
+        for q, coords in ((5, (0, 2, 0)), (3, (0, 2)), (3, (0, 0, 0))):
+            with pytest.raises(DomainError):
+                FilterState(params, galois.FieldVector(q, coords))
 
     def test_thresholds(self):
         assert derive_params(12, Fraction(1, 4), 0.5, 0).threshold == 9
@@ -180,7 +198,7 @@ class TestBuild:
         assert report.satisfied_keys == n
         assert report.candidates_tried == 0
         assert report.bits_payload == params.bits_payload
-        assert not state.y.is_zero()
+        assert state.y.array.any()
         assert query_many(state, keys).all()
 
     def test_duplicate_keys_rejected(self):
@@ -194,11 +212,21 @@ class TestBuild:
             build(params, [b"a", b"b"])
 
     def test_degenerate_empty_build(self):
-        params = FilterParams(n=0, eps_K=0, q=2, m=4, seed=0, search_budget=1)
+        params = FilterParams(n=0, eps_K=0, q=2, m=4, seed=0)
         state, report = build(params, [])
         assert report.success
         assert report.satisfied_keys == 0
         assert state.y.coords == (1, 0, 0, 0)
+
+    def test_degenerate_empty_two_sided_build(self):
+        # No keys and eps_K > 0: the kernel path runs, and the kernel of no
+        # rows is the first standard basis vector; no candidate is drawn.
+        params = FilterParams(n=0, eps_K=Fraction(1, 4), q=2, m=4, seed=0)
+        state, report = build(params, [])
+        assert report == F.BuildReport(0, 0, 4, True)
+        assert state.y.coords == (1, 0, 0, 0)
+        assert serialize(state) == _HEADER.pack(b"MF", 1, 2, 4, 0, 1, 4, 0) + b"\x01"
+        assert deserialize(serialize(state)) == state
 
     def test_two_sided_first_candidate_win(self):
         params = derive_params(12, Fraction(1, 4), 0.5, 7)
@@ -217,19 +245,23 @@ class TestBuild:
         # The report's count and live queries must agree.
         assert int(query_many(state, KEYS12).sum()) == report.satisfied_keys
 
-    def test_two_sided_deterministic_and_budget_independent(self, built_12_seed0):
-        params, state, _ = built_12_seed0
+    def test_two_sided_deterministic_and_budget_independent(
+        self, built_12_seed0, monkeypatch
+    ):
+        params, state, report = built_12_seed0
         again, _ = build(params, KEYS12)
         assert again == state
         assert serialize(again) == serialize(state)
-        bigger = dataclasses.replace(params, search_budget=100_000)
-        widened, _ = build(bigger, KEYS12)
-        assert widened.y == state.y
+        # A budget of exactly the winner's index finds the same vector.
+        monkeypatch.setattr(F, "_MAX_SEARCH_BUDGET", report.candidates_tried)
+        assert params.search_budget == 2
+        narrowed, _ = build(params, KEYS12)
+        assert narrowed.y == state.y
 
-    def test_budget_exhaustion_reports_failure(self):
+    def test_budget_exhaustion_reports_failure(self, monkeypatch):
         params = derive_params(12, Fraction(1, 4), 0.5, 0)
-        starved = dataclasses.replace(params, search_budget=1)
-        state, report = build(starved, KEYS12)
+        monkeypatch.setattr(F, "_MAX_SEARCH_BUDGET", 1)
+        state, report = build(params, KEYS12)
         assert state is None
         assert not report.success
         assert report.candidates_tried == 1
@@ -293,7 +325,7 @@ class TestQuery:
         elements = [b"k%d" % i for i in range(5000)]
         rows = [reference_row(params.seed, e, params.q, params.m) for e in elements]
         expected = [int(reference_dot(r, state.y.coords, params.q) == 0) for r in rows]
-        for _ in range(2):  # the second call reuses y's cached array
+        for _ in range(2):  # the second call reuses y's cached support
             assert query_many(state, elements).tolist() == expected
         assert calls == []
         build(params, KEYS12)
@@ -302,7 +334,7 @@ class TestQuery:
     @pytest.mark.parametrize("q", [2, 3, 5, 4294967291])
     def test_only_the_support_of_y_is_hashed(self, q, monkeypatch):
         params = derive_params(6, 0, 1.0 / q, 99)
-        m, field = params.m, galois.PrimeField(q)
+        m = params.m
         elements = [b"support-%d" % i for i in range(_BATCH + 3)]
         rows = [reference_row(params.seed, e, q, m) for e in elements]
         widths = []
@@ -323,7 +355,7 @@ class TestQuery:
             [0, 0, 1] + [0] * (m - 3),
             dense,
         ):
-            state = FilterState(params, galois.FieldVector(field, tuple(coords)))
+            state = FilterState(params, galois.FieldVector(q, coords))
             want = [int(reference_dot(r, coords, q) == 0) for r in rows]
             widths.clear()
             assert query_many(state, elements).tolist() == want

@@ -1,5 +1,6 @@
 """Tests for prime-field arithmetic, kernel solving, and keyed word streams."""
 
+import dataclasses
 import functools
 import math
 import random
@@ -13,7 +14,6 @@ from membound import (
     DomainError,
     FieldError,
     FieldVector,
-    PrimeField,
     WordStream,
     is_prime,
 )
@@ -53,59 +53,60 @@ class TestIsPrime:
         assert not is_prime(-7)
 
 
-class TestPrimeField:
-    def test_accepts_primes(self):
-        for q in (2, 3, 5, 7, 13, 65537):
-            assert PrimeField(q).q == q
+class TestFieldVector:
+    def test_accepts_prime_moduli(self):
+        for q in (2, 3, 5, 7, 13, 65537, 4294967291):
+            assert FieldVector(q, (1, 0)).q == q
 
-    def test_rejects_composites_and_prime_powers(self):
+    def test_rejects_composite_and_prime_power_moduli(self):
         for q in (1, 4, 6, 8, 9, 10, 25, 0, -5):
             with pytest.raises(FieldError):
-                PrimeField(q)
+                FieldVector(q, (0, 0))
 
     def test_rejects_non_integer_modulus(self):
         with pytest.raises(FieldError):
-            PrimeField(5.0)
+            FieldVector(5.0, (0, 1))
 
-    def test_check_element(self):
-        field = PrimeField(5)
-        assert field.check_element(0) == 0
-        assert field.check_element(4) == 4
-        assert field.check_element(np.int64(3)) == 3
+    def test_checks_each_coordinate(self):
+        coords = FieldVector(5, (0, 4, np.int64(3))).coords
+        assert coords == (0, 4, 3) and all(type(c) is int for c in coords)
         for bad in (-1, 5, 7, 1.5, "2"):
             with pytest.raises(FieldError):
-                field.check_element(bad)
+                FieldVector(5, (0, bad, 1))
 
+    def test_rejects_out_of_field_coords(self):
+        assert FieldVector(5, np.array([0, 4, 3], dtype=np.uint8)).coords == (0, 4, 3)
+        for bad in (((0, 1), (1, 0)), np.zeros((2, 2), dtype=np.int64), ((0, 1), 1)):
+            with pytest.raises(FieldError):
+                FieldVector(5, bad)
+        with pytest.raises(FieldError):
+            FieldVector(3, np.array([0, 1 << 63], dtype=np.uint64))
 
-class TestFieldVector:
     def test_round_trip_through_arrays(self):
-        field = PrimeField(7)
-        vec = FieldVector.from_array(field, np.array([1, 0, 6, 3]))
+        source = np.array([1, 0, 6, 3])
+        vec = FieldVector(7, source)
         assert vec.coords == (1, 0, 6, 3)
-        assert np.array_equal(vec.as_array(), np.array([1, 0, 6, 3]))
+        assert np.array_equal(vec.array, source)
         assert len(vec) == 4
+        source[0] = 2  # the vector holds its own copy
+        assert vec.coords == (1, 0, 6, 3)
 
-    def test_as_array_is_built_once_and_read_only(self):
-        vec = FieldVector(PrimeField(4294967291), (4294967290, 0, 7))
-        arr = vec.as_array()
-        assert vec.as_array() is arr
+    def test_array_is_a_read_only_int64_copy(self):
+        vec = FieldVector(4294967291, (4294967290, 0, 7))
+        arr = vec.array
         assert arr.dtype == np.int64 and arr.tolist() == [4294967290, 0, 7]
         with pytest.raises(ValueError):
             arr[0] = 1
-        assert vec == FieldVector(PrimeField(4294967291), (4294967290, 0, 7))
-        assert hash(vec) == hash(FieldVector(PrimeField(4294967291), vec.coords))
+        assert vec.coords == (4294967290, 0, 7)
+        assert all(type(c) is int for c in vec.coords)
+        same = FieldVector(4294967291, np.array([4294967290, 0, 7], dtype=np.uint64))
+        assert vec == same and hash(vec) == hash(same)
+        assert vec != FieldVector(4294967291, (4294967290, 0, 6))
+        assert vec != FieldVector(4294967311, (4294967290, 0, 7))
+        assert vec != (4294967290, 0, 7)
 
-    def test_rejects_out_of_field_coords(self):
-        field = PrimeField(3)
-        with pytest.raises(FieldError):
-            FieldVector(field, (0, 3))
-        with pytest.raises(FieldError):
-            FieldVector(field, (-1, 0))
-
-    def test_is_zero(self):
-        field = PrimeField(3)
-        assert FieldVector(field, (0, 0, 0)).is_zero()
-        assert not FieldVector(field, (0, 1, 0)).is_zero()
+    def test_fields_are_the_modulus_and_the_array(self):
+        assert [f.name for f in dataclasses.fields(FieldVector)] == ["q", "array"]
 
 
 class TestDot:
@@ -400,7 +401,7 @@ def _words(stream, indices, attempt=0, scratch=None):
 
 def _draws(stream, count=8):
     """The first ``count`` draws of ``stream`` in a 32-bit field."""
-    return sample_field_elements(stream, PrimeField(4294967291), 0, count).tolist()
+    return sample_field_elements(stream, 4294967291, 0, count).tolist()
 
 
 class TestWordStream:
@@ -445,7 +446,7 @@ class TestWordStream:
         stream = WordStream(0, b"x")
         for start in (1 << 56, -1):
             with pytest.raises(DomainError):
-                sample_field_elements(stream, PrimeField(3), start, 1)
+                sample_field_elements(stream, 3, start, 1)
         for attempt in (256, -1):
             with pytest.raises(DomainError):
                 _words(stream, [0], attempt)
@@ -468,21 +469,21 @@ class TestWordStream:
     def test_array_calls_refuse_indices_past_the_counter(self):
         # Index 2**56 would wrap onto index 0 in the 64-bit counter.
         stream = WordStream(1, b"x")
-        field = PrimeField(4294967291)
+        q = 4294967291
         last = (1 << 56) - 1
         word = functools.partial(reference_word, 1, b"x")
-        want = [reference_element(word, field.q, i) for i in range(last - 3, last + 1)]
-        assert sample_field_elements(stream, field, last - 3, 4).tolist() == want
-        got = sample_field_elements(stream, field, last - 3, 4, np.array([3, 0]))
+        want = [reference_element(word, q, i) for i in range(last - 3, last + 1)]
+        assert sample_field_elements(stream, q, last - 3, 4).tolist() == want
+        got = sample_field_elements(stream, q, last - 3, 4, np.array([3, 0]))
         assert got.tolist() == [want[3], want[0]]
         for start, count in ((1 << 56, 4), (last, 2), (-1, 2), (0, -1)):
             with pytest.raises(DomainError):
-                sample_field_elements(stream, field, start, count)
+                sample_field_elements(stream, q, start, count)
             with pytest.raises(DomainError):
-                sample_field_elements(stream, field, start, count, np.array([0]))
+                sample_field_elements(stream, q, start, count, np.array([0]))
         for args in ((0.5, 4), (0, 1.5)):
             with pytest.raises(TypeError):
-                sample_field_elements(stream, field, *args)
+                sample_field_elements(stream, q, *args)
 
 
 class _ForcedRejection(WordStream):
@@ -519,15 +520,15 @@ class _ForcedRejection(WordStream):
 
 class TestFieldSampling:
     def test_pure(self):
-        field = PrimeField(5)
-        a = sample_field_elements(WordStream(7, b"s"), field, 3, 1)[0]
-        b = sample_field_elements(WordStream(7, b"s"), field, 3, 1)[0]
+        q = 5
+        a = sample_field_elements(WordStream(7, b"s"), q, 3, 1)[0]
+        b = sample_field_elements(WordStream(7, b"s"), q, 3, 1)[0]
         assert a == b
 
     def test_values_in_field(self):
-        field = PrimeField(13)
+        q = 13
         stream = WordStream(21, b"r")
-        draws = sample_field_elements(stream, field, 0, 1000)
+        draws = sample_field_elements(stream, q, 0, 1000)
         assert draws.min() >= 0 and draws.max() < 13
 
     def test_rejection_threshold_formula(self):
@@ -535,10 +536,10 @@ class TestFieldSampling:
             assert _rejection_threshold(q) == q * ((1 << 64) // q)
 
     def test_uniformity(self):
-        field = PrimeField(7)
+        q = 7
         stream = WordStream(123, b"uniform")
         n = 100_000
-        draws = sample_field_elements(stream, field, 0, n)
+        draws = sample_field_elements(stream, q, 0, n)
         counts = np.bincount(draws, minlength=7)
         p = 1.0 / 7.0
         band = 3.0 * math.sqrt(n * p * (1 - p))
@@ -548,20 +549,18 @@ class TestFieldSampling:
     def test_vectorized_matches_scalar(self):
         word = functools.partial(reference_word, 3141, b"match")
         for q in (2, 3, 5, 7, 4294967291):
-            field = PrimeField(q)
             stream = WordStream(3141, b"match")
             scalar = [reference_element(word, q, 50 + i) for i in range(200)]
-            assert sample_field_elements(stream, field, 50, 200).tolist() == scalar
-            one_draw = [sample_field_elements(stream, field, 50 + i, 1)[0] for i in range(5)]
+            assert sample_field_elements(stream, q, 50, 200).tolist() == scalar
+            one_draw = [sample_field_elements(stream, q, 50 + i, 1)[0] for i in range(5)]
             assert one_draw == scalar[:5]
 
     def test_rejection_retries_next_attempt(self, monkeypatch):
         forced = _ForcedRejection(monkeypatch, 777, b"reject")
         for q in (3, 5, 7):
-            field = PrimeField(q)
-            got = sample_field_elements(forced, field, 0, 1)[0]
+            got = sample_field_elements(forced, q, 0, 1)[0]
             assert got == reference_word(777, b"reject", 0, 1) % q
-            vec = sample_field_elements(forced, field, 0, 40)
+            vec = sample_field_elements(forced, q, 0, 40)
             scalar = [reference_element(forced.reference, q, i) for i in range(40)]
             assert vec.tolist() == scalar
 
@@ -570,10 +569,9 @@ class TestFieldSampling:
         forced = _ForcedRejection(monkeypatch, 778, b"reject", rejected=255)
         word = reference_word(778, b"reject", 0, 255)
         for q in (3, 5, 7):
-            field = PrimeField(q)
             assert word < q * ((1 << 64) // q)
-            assert sample_field_elements(forced, field, 0, 1)[0] == word % q
-            vec = sample_field_elements(forced, field, 0, 4)
+            assert sample_field_elements(forced, q, 0, 1)[0] == word % q
+            vec = sample_field_elements(forced, q, 0, 4)
             scalar = [reference_element(forced.reference, q, i) for i in range(4)]
             assert vec.tolist() == scalar
             assert vec[0] == word % q
@@ -581,9 +579,9 @@ class TestFieldSampling:
     def test_rejection_gives_up_after_256_attempts(self, monkeypatch):
         forced = _ForcedRejection(monkeypatch, 779, b"reject", rejected=256)
         with pytest.raises(RuntimeError):
-            sample_field_elements(forced, PrimeField(3), 0, 4)
+            sample_field_elements(forced, 3, 0, 4)
         with pytest.raises(RuntimeError):
-            sample_field_elements(forced, PrimeField(3), 0, 1)
+            sample_field_elements(forced, 3, 0, 1)
 
 
 class TestBatchSampling:
@@ -597,15 +595,14 @@ class TestBatchSampling:
         per_block = max(1, _BLOCK // m)
         elements = [b"batch-%d" % i for i in range(per_block + 1)]
         streams = [WordStream(11, b"E" + e) for e in elements]
-        field = PrimeField(q)
         want = [reference_row(11, e, q, m) for e in elements]
         for rows in sorted({0, 1, per_block - 1, per_block, per_block + 1}):
-            got = sample_field_elements(streams[:rows], field, 0, m)
+            got = sample_field_elements(streams[:rows], q, 0, m)
             assert got.shape == (rows, m) and got.dtype == np.int64
             assert got.tolist() == want[:rows]
         # One-stream calls on the rows next to the first block edge.
         for i in {0, max(0, per_block - 1), per_block}:
-            assert sample_field_elements(streams[i], field, 0, m).tolist() == want[i]
+            assert sample_field_elements(streams[i], q, 0, m).tolist() == want[i]
 
     @pytest.mark.parametrize("q", (3, 4294967291))
     def test_rejection_inside_the_second_block(self, monkeypatch, q):
@@ -618,37 +615,36 @@ class TestBatchSampling:
         )
         streams = [WordStream(seed, label) for label in labels]
         streams[row] = forced
-        field = PrimeField(q)
-        got = sample_field_elements(streams, field, start, m)
+        got = sample_field_elements(streams, q, start, m)
         word = reference_word(seed, labels[row], start + col, 2)
         assert word < _rejection_threshold(q)
         assert word % q != reference_word(seed, labels[row], start + col, 0) % q
         assert got[row, col] == word % q
         want = [reference_element(forced.reference, q, start + j) for j in range(m)]
         assert got[row].tolist() == want
-        assert sample_field_elements(forced, field, start, m).tolist() == want
+        assert sample_field_elements(forced, q, start, m).tolist() == want
         for i in (0, per_block - 1, per_block, row - 1, row + 1, 2 * per_block - 1):
             word_i = functools.partial(reference_word, seed, labels[i])
             assert got[i].tolist() == [
                 reference_element(word_i, q, start + j) for j in range(m)
             ]
         # The redraw addresses the draw's own index when columns are chosen.
-        picked = sample_field_elements(streams, field, start, m, np.array([col, 0]))
+        picked = sample_field_elements(streams, q, start, m, np.array([col, 0]))
         assert picked.tolist() == got[:, [col, 0]].tolist()
 
     @pytest.mark.parametrize("q", (2, 3, 4294967291))
     @pytest.mark.parametrize("m", (81, _BLOCK + 100))
     def test_columns_pick_entries_of_the_full_rows(self, q, m):
-        start, field = 7, PrimeField(q)
+        start = 7
         for columns in ([m - 1], [m - 1, 0, 40], list(range(0, m, 3))):
             # One more row than a block of len(columns) words holds.
             rows = _BLOCK // len(columns) + 1
             streams = [WordStream(23, b"E-col-%d" % i) for i in range(rows)]
-            full = sample_field_elements(streams[-2:], field, start, m)
-            got = sample_field_elements(streams, field, start, m, np.array(columns))
+            full = sample_field_elements(streams[-2:], q, start, m)
+            got = sample_field_elements(streams, q, start, m, np.array(columns))
             assert got.shape == (rows, len(columns)) and got.dtype == np.int64
             assert got[-2:].tolist() == full[:, columns].tolist()
-            one = sample_field_elements(streams[0], field, start, m, columns)
+            one = sample_field_elements(streams[0], q, start, m, columns)
             assert one.tolist() == got[0].tolist()
         word = functools.partial(reference_word, 23, b"E-col-0")
         assert one.tolist() == [reference_element(word, q, start + j) for j in columns]
@@ -657,13 +653,13 @@ class TestBatchSampling:
         stream = WordStream(1, b"x")
         for bad in ([4], [-1], [[0]], [0.5], ["0"]):
             with pytest.raises(DomainError):
-                sample_field_elements(stream, PrimeField(3), 0, 4, np.array(bad))
-        empty = sample_field_elements([stream], PrimeField(3), 0, 4, np.array([], int))
+                sample_field_elements(stream, 3, 0, 4, np.array(bad))
+        empty = sample_field_elements([stream], 3, 0, 4, np.array([], int))
         assert empty.shape == (1, 0)
 
     def test_streams_must_be_word_streams(self):
         with pytest.raises(DomainError):
-            sample_field_elements([WordStream(1, b"a"), b"b"], PrimeField(3), 0, 4)
+            sample_field_elements([WordStream(1, b"a"), b"b"], 3, 0, 4)
 
 
 class TestPinnedHash:
@@ -699,4 +695,4 @@ class TestPinnedHash:
         word = functools.partial(reference_word, 2024, b"pin")
         for q, want in self.DRAWS.items():
             assert [reference_element(word, q, 1000 + i) for i in range(8)] == want
-            assert sample_field_elements(stream, PrimeField(q), 1000, 8).tolist() == want
+            assert sample_field_elements(stream, q, 1000, 8).tolist() == want
