@@ -32,8 +32,11 @@ import numpy as np
 
 from .errors import DomainError, FileFormatError, TrivialRegimeError
 from .galois import (
+    _BLOCK,
     FieldVector,
     WordStream,
+    _eliminate_gf2,
+    _pack_gf2,
     is_prime,
     matmul_mod,
     nullspace_of_matrix,
@@ -265,6 +268,28 @@ def _hash_rows(
     return sample_field_elements(streams, params.q, 0, params.m, columns)
 
 
+def _kernel_gf2(params: FilterParams, keys: list[bytes]) -> tuple[np.ndarray, int]:
+    """The GF(2) kernel vector of the key rows and the number of keys it
+    satisfies, with no int64 matrix of all the rows.
+
+    Keys are hashed ``_BLOCK // m`` rows at a time (one sampling block) and
+    each chunk is packed into its rows of one bit matrix, which is then
+    eliminated on a copy.  A key is satisfied when its packed row and ``y``
+    share an even number of set bits: the XOR of the shared words, folded
+    to one bit, is that parity (``np.bitwise_count`` needs numpy 2).
+    """
+    m = params.m
+    step = max(1, _BLOCK // m)
+    packed = np.empty((len(keys), (m + 63) // 64), dtype=np.uint64)
+    for lo in range(0, len(keys), step):
+        packed[lo : lo + step] = _pack_gf2(_hash_rows(params, keys[lo : lo + step]))
+    kernel = _eliminate_gf2(packed.copy(), m)
+    odd = np.bitwise_xor.reduce(packed & _pack_gf2(kernel[None, :]), axis=1)
+    for shift in (32, 16, 8, 4, 2, 1):
+        odd ^= odd >> np.uint64(shift)
+    return kernel, len(keys) - int((odd & np.uint64(1)).sum())
+
+
 def build(
     params: FilterParams, keys: Sequence[bytes]
 ) -> tuple[FilterState | None, BuildReport]:
@@ -282,21 +307,26 @@ def build(
     keys = list(keys)
     if len(keys) != params.n:
         raise DomainError(f"expected {params.n} keys, got {len(keys)}")
+    _require_bytes(keys)
     if len(set(keys)) != len(keys):
         raise DomainError("keys must be distinct")
-    rows = _hash_rows(params, keys)
     threshold = params.threshold
 
     if params.eps_K == 0 or params.n == 0:
-        kernel = nullspace_of_matrix(rows, params.q)
+        if params.q == 2:
+            kernel, satisfied = _kernel_gf2(params, keys)
+        else:
+            rows = _hash_rows(params, keys)
+            kernel = nullspace_of_matrix(rows, params.q)
+            satisfied = int((matmul_mod(rows, kernel, params.q) == 0).sum())
         # m = n + ceil(t_n/log2 q) > n bounds the rank below m, so a
         # nonzero kernel vector always exists.
-        satisfied = int((matmul_mod(rows, kernel, params.q) == 0).sum())
         state = FilterState(params, FieldVector(params.q, kernel))
         return state, BuildReport(
             satisfied, 0, params.bits_payload, satisfied >= threshold
         )
 
+    rows = _hash_rows(params, keys)
     stream = WordStream(params.seed, _CANDIDATE_TAG)
     budget = params.search_budget
     tried = 0
@@ -338,14 +368,18 @@ def query_many(state: FilterState, elements: Sequence[bytes]) -> np.ndarray:
 
     Only the columns where ``y`` is nonzero are hashed: the others add
     nothing to the dot product, and each hash entry depends only on its
-    element and column.
+    element and column.  A batch is at most one sampling block of words,
+    ``_BLOCK // len(support)`` elements (at least one), and at most
+    ``_BATCH`` elements, which bounds the per-element stream objects when
+    the support is small.
     """
     params = state.params
     _require_bytes(elements)
     columns, y = state._support
+    step = max(1, min(_BATCH, _BLOCK // columns.size))
     out = np.empty(len(elements), dtype=np.int64)
-    for lo in range(0, len(elements), _BATCH):
-        chunk = elements[lo : lo + _BATCH]
+    for lo in range(0, len(elements), step):
+        chunk = elements[lo : lo + step]
         rows = _hash_rows(params, chunk, columns)
         out[lo : lo + len(chunk)] = matmul_mod(rows, y, params.q) == 0
         del rows  # free this batch before the next one is hashed
@@ -357,7 +391,8 @@ def serialize(state: FilterState) -> bytes:
 
     The payload is the little-endian encoding of ``sum(y_j * q**j)`` in
     exactly ``ceil(bits_payload / 8)`` bytes, so equal states are
-    byte-identical on every platform.
+    byte-identical on every platform.  For q = 2 that is ``y``'s bits
+    packed little-endian, eight coordinates per byte.
     """
     p = state.params
     header = _HEADER.pack(
@@ -370,6 +405,8 @@ def serialize(state: FilterState) -> bytes:
         p.eps_K.denominator,
         p.seed,
     )
+    if p.q == 2:
+        return header + np.packbits(state.y.array, bitorder="little").tobytes()
     value = 0
     for c in reversed(state.y.array.tolist()):
         value = value * p.q + c
@@ -407,13 +444,20 @@ def deserialize(data: bytes) -> FilterState:
         raise FileFormatError(
             f"payload is {len(payload)} bytes, expected {params.payload_bytes}"
         )
-    value = int.from_bytes(payload, "little")
-    if value >= params.capacity:
-        raise FileFormatError("payload exceeds the base-q capacity of y")
-    coords = []
-    for _ in range(m):
-        coords.append(value % q)
-        value //= q
+    if q == 2:
+        # Bit j is y_j, so the value reaches 2**m exactly when a bit past m is set.
+        bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), bitorder="little")
+        if bits[m:].any():
+            raise FileFormatError("payload exceeds the base-q capacity of y")
+        coords = bits[:m]
+    else:
+        value = int.from_bytes(payload, "little")
+        if value >= params.capacity:
+            raise FileFormatError("payload exceeds the base-q capacity of y")
+        coords = []
+        for _ in range(m):
+            coords.append(value % q)
+            value //= q
     try:
         return FilterState(params, FieldVector(q, np.array(coords, dtype=np.int64)))
     except DomainError as exc:

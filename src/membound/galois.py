@@ -12,12 +12,15 @@ whether hashed element rows lie in its kernel.  This module provides:
 * ``nullspace_of_matrix`` -- a deterministic kernel vector in the
   reduced-row-echelon convention (lowest-index free variable set to 1, all
   other free variables 0); both paths stop at the first free column.
-  GF(2) packs 64 columns per word and eliminates 8 columns at a time by
-  the Method of Four Russians: one table of XOR combinations of a byte's
-  pivot rows, and one lookup-and-XOR pass over the rows below.  Every
-  other field takes a blocked Gauss-Jordan that factors panels of
-  ``_PANEL`` columns and updates the rows above and below with one
-  ``matmul_mod`` product per panel;
+  GF(2) is two steps: ``_pack_gf2`` packs the low bits of the rows 64
+  columns per word, and ``_eliminate_gf2`` eliminates the packed rows in
+  place, 8 columns at a time by the Method of Four Russians: one table of
+  XOR combinations of a byte's pivot rows, and one lookup-and-XOR pass over
+  the rows below.  A caller can pack rows as it hashes them, so no int64
+  matrix of all the rows need exist.  Every other field takes a blocked
+  Gauss-Jordan that factors panels of ``_PANEL`` columns and updates the
+  rows above and below with ``matmul_mod`` products on column chunks of
+  about one ``_BLOCK``;
 * ``WordStream`` -- a pure, keyed 64-bit word source (blake2b absorption +
   splitmix64 counter expansion), so every hash row is reproducible from
   (seed, element bytes) alone;
@@ -155,6 +158,11 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
 # which touches every remaining row for each column, stays cheap.
 _PANEL = 64
 
+# Words per block of the sampling kernel (512 KB): a block and its scratch
+# stay in a core's L2 cache through the mixing, rejection and reduction.
+# The GF(q) trailing updates are chunked to about one block of the rows.
+_BLOCK = 1 << 16
+
 
 def _gauss_jordan(
     x: np.ndarray, q: int, ncols: int
@@ -198,11 +206,13 @@ def _nullspace_general(mat: np.ndarray, q: int) -> np.ndarray | None:
     the r x r block of the new pivot rows on the pivot columns, the pivot
     rows' trailing part A1 becomes ``B^-1 A1`` and every other row loses
     ``L`` times that, where ``L`` is its part of the pivot columns.  Each of
-    the two block updates is one ``matmul_mod`` product.  As in FFLAS-FFPACK
-    (Dumas, Giorgi and Pernet, ACM TOMS 2008) the reduction mod q is
-    delayed: an update adds less than q to an entry, so the columns ahead of
-    the current panel are reduced only when a panel reaches them, and they
-    stay below q*(1 + m) < 2**63 until then.
+    the two block updates is one ``matmul_mod`` product per chunk of
+    ``_BLOCK // k`` columns (at least ``_PANEL``), so their float64 and
+    int64 temporaries stay near one block, not the size of the trailing
+    matrix.  As in FFLAS-FFPACK (Dumas, Giorgi and Pernet, ACM TOMS 2008)
+    the reduction mod q is delayed: an update adds less than q to an entry,
+    so the columns ahead of the current panel are reduced only when a panel
+    reaches them, and they stay below q*(1 + m) < 2**63 until then.
 
     Every column before the first free column f is a pivot, so the kernel
     vector of the reduced-row-echelon convention is supported on columns
@@ -221,17 +231,21 @@ def _nullspace_general(mat: np.ndarray, q: int) -> np.ndarray | None:
         if j1 == m:
             return None
         full = r == panel.shape[1]
-        # Every column after the panel, or only the free column j1.
-        cols = slice(j1, None if full else j1 + 1)
         pivots = slice(j0, j1)
         inverse = np.concatenate(
             [a[pivots, pivots].astype(np.uint64), np.eye(r, dtype=np.uint64)], axis=1
         )
         _gauss_jordan(inverse, q, r)
-        a[pivots, cols] %= q
-        top = matmul_mod(inverse[:, r:], a[pivots, cols], q)
-        a[:, cols] += matmul_mod(-a[:, pivots] % q, top, q)
-        a[pivots, cols] = top
+        lower = -a[:, pivots] % q
+        # Every column after the panel, or only the free column j1.
+        stop = m if full else j1 + 1
+        width = max(_PANEL, _BLOCK // max(k, 1))
+        for c0 in range(j1, stop, width):
+            cols = slice(c0, min(c0 + width, stop))
+            a[pivots, cols] %= q
+            top = matmul_mod(inverse[:, r:], a[pivots, cols], q)
+            a[:, cols] += matmul_mod(lower, top, q)
+            a[pivots, cols] = top
         if not full:
             break
     y = np.zeros(m, dtype=np.int64)
@@ -240,13 +254,25 @@ def _nullspace_general(mat: np.ndarray, q: int) -> np.ndarray | None:
     return y
 
 
-def _nullspace_gf2(mat: np.ndarray, m: int) -> np.ndarray | None:
-    """GF(2) kernel vector by Four-Russians elimination on bit-packed rows.
+def _pack_gf2(mat: np.ndarray) -> np.ndarray:
+    """The low bits of an integer matrix ``(k, m)`` as ``(k, ceil(m/64))``
+    little-endian uint64 words: word w of a row holds columns 64w..64w+63,
+    so byte b holds columns 8b..8b+7, and the padding bits are zero.
 
-    Rows are packed 64 columns per little-endian uint64 word, so byte b of
-    a row holds columns 8b..8b+7.  Only the low bit of each entry is read,
-    and the one full-size intermediate is a uint8 bit array, so ``mat`` is
-    never copied.
+    Only the low bit of each entry is read, so over GF(2) the packed rows
+    are the rows; the one intermediate is a uint8 bit array of the matrix's
+    shape, and ``mat`` is never copied.
+    """
+    k, m = mat.shape
+    bits = np.zeros((k, 64 * ((m + 63) // 64)), dtype=np.uint8)
+    np.bitwise_and(mat, 1, out=bits[:, :m], casting="unsafe")
+    return np.packbits(bits, axis=1, bitorder="little").view("<u8")
+
+
+def _eliminate_gf2(packed: np.ndarray, m: int) -> np.ndarray | None:
+    """GF(2) kernel vector of ``m`` columns packed as by ``_pack_gf2`` (a
+    C-contiguous uint64 array), by Four-Russians elimination on the packed
+    rows, in place.
 
     As in ``_nullspace_general``, every column before the first free column
     f is a pivot, so pivot row i has its pivot in column i and the loop
@@ -260,12 +286,7 @@ def _nullspace_gf2(mat: np.ndarray, m: int) -> np.ndarray | None:
     selects.  The remaining rows are zero on every column before the byte,
     so the table and the update cover only words from the byte's own on.
     """
-    k = mat.shape[0]
-    words = (m + 63) // 64
-    bits = np.zeros((k, 64 * words), dtype=np.uint8)
-    np.bitwise_and(mat, 1, out=bits[:, :m], casting="unsafe")
-    packed = np.packbits(bits, axis=1, bitorder="little").view("<u8")
-    del bits
+    words = packed.shape[1]
     row_bytes = packed.view(np.uint8)
     free = None
     for b in range((m + 7) // 8):
@@ -325,7 +346,7 @@ def nullspace_of_matrix(mat: np.ndarray, q: int) -> np.ndarray | None:
     if m < 1:
         raise FieldError("matrix needs at least one column")
     if q == 2:
-        return _nullspace_gf2(mat, m)
+        return _eliminate_gf2(_pack_gf2(mat), m)
     return _nullspace_general(mat, q)
 
 
@@ -380,11 +401,6 @@ class WordStream:
 def _rejection_threshold(q: int) -> int:
     """Largest multiple of q that fits the draw range [0, 2**64)."""
     return q * ((1 << 64) // q)
-
-
-# Words per block of the sampling kernel (512 KB): a block and its scratch
-# stay in a core's L2 cache through the mixing, rejection and reduction.
-_BLOCK = 1 << 16
 
 
 def sample_field_elements(

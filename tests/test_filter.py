@@ -38,6 +38,7 @@ from membound import (
     serialize,
 )
 from membound.filter import _BATCH, _HEADER, wilson_interval
+from membound.galois import _BLOCK
 
 KEYS12 = [f"key-{i:02d}".encode() for i in range(12)]
 
@@ -201,10 +202,51 @@ class TestBuild:
         assert state.y.array.any()
         assert query_many(state, keys).all()
 
+    # m = 2, 61, 64, 65, 129, 1024 and 1025; n = 929 hashes 15 chunks of up to 63 rows.
+    @pytest.mark.parametrize("n", [1, 47, 50, 51, 106, 928, 929])
+    def test_packed_gf2_build_matches_the_int64_kernel(self, n, monkeypatch):
+        params = derive_params(n, 0, 0.5, 23)
+        keys = [b"packed-%d" % i for i in range(n)]
+        rows = F._hash_rows(params, keys)
+        y = galois.nullspace_of_matrix(rows, 2)
+        satisfied = int((galois.matmul_mod(rows, y, 2) == 0).sum())
+        state, report = build(params, keys)
+        assert state.y.array.tolist() == y.tolist()
+        assert report == F.BuildReport(satisfied, 0, params.m, satisfied >= n)
+        # The packed parity count agrees with the int64 dot products on a
+        # vector that leaves some keys unsatisfied.
+        other = np.random.default_rng(n).integers(0, 2, size=params.m)
+        other[0] = 1
+        monkeypatch.setattr(F, "_eliminate_gf2", lambda packed, m: other)
+        _, report = build(params, keys)
+        assert report.satisfied_keys == int((galois.matmul_mod(rows, other, 2) == 0).sum())
+        assert n == 1 or report.satisfied_keys < n
+
+    def test_packed_gf2_build_holds_no_int64_matrix(self):
+        params = derive_params(2000, 0, 0.5, 31)
+        keys = [b"memory-%d" % i for i in range(2000)]
+        tracemalloc.start()
+        try:
+            _, report = build(params, keys)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.success and report.satisfied_keys == 2000
+        assert peak < params.n * params.m  # an eighth of the int64 rows
+
     def test_duplicate_keys_rejected(self):
         params = derive_params(3, 0, 0.5, 0)
         with pytest.raises(DomainError):
             build(params, [b"a", b"b", b"a"])
+
+    @pytest.mark.parametrize("eps_K", [0, Fraction(1, 4)])
+    def test_keys_checked_before_any_hashing(self, eps_K, monkeypatch):
+        params = derive_params(3, eps_K, 0.5, 0)
+        monkeypatch.setattr(F, "sample_field_elements", None)
+        # An unhashable key is refused as a key, not by the distinctness test.
+        for keys in ([b"a", b"b", "c"], [b"a", b"b", [1]]):
+            with pytest.raises(DomainError, match="byte string"):
+                build(params, keys)
 
     def test_wrong_key_count_rejected(self):
         params = derive_params(3, 0, 0.5, 0)
@@ -284,16 +326,37 @@ class TestQuery:
     def test_query_many_frees_each_batch(self):
         params = derive_params(100, 0, 0.5, 5)
         state, _ = build(params, [b"batch-key-%d" % i for i in range(100)])
-        elements = [b"batch-query-%d" % i for i in range(2 * _BATCH)]
-        batch_rows = _BATCH * params.m * 8  # one batch of int64 hash rows
-        tracemalloc.start()
-        try:
-            answers = query_many(state, elements)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert answers.shape == (2 * _BATCH,)
-        assert peak < 1.5 * batch_rows
+        for count in (1, 3 * _BATCH):
+            elements = [b"batch-query-%d" % i for i in range(count)]
+            rows = F._hash_rows(params, elements)
+            want = galois.matmul_mod(rows, state.y.array, 2) == 0
+            del rows
+            tracemalloc.start()
+            try:
+                answers = query_many(state, elements)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert answers.tolist() == want.tolist()
+            # A few sampling blocks of words, however many elements.
+            assert peak < 4 * _BLOCK * 8
+
+    def test_query_batches_are_one_sampling_block(self, monkeypatch):
+        params = derive_params(100, 0, 0.5, 5)
+        state, _ = build(params, [b"batch-key-%d" % i for i in range(100)])
+        shapes = []
+        sample = F.sample_field_elements
+
+        def counted(*args):
+            out = sample(*args)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(F, "sample_field_elements", counted)
+        query_many(state, [b"batch-query-%d" % i for i in range(3 * _BATCH)])
+        # 49 support columns: _BLOCK // 49 = 1337 elements per batch.
+        assert len(state._support[0]) == 49
+        assert shapes == [(1337, 49)] * 9 + [(3 * _BATCH - 9 * 1337, 49)]
 
     def test_elements_checked_before_any_hashing(self, built_12_seed0, monkeypatch):
         _, state, _ = built_12_seed0
@@ -310,7 +373,10 @@ class TestQuery:
             query_many(state, elements)
         assert calls == []
         assert query_many(state, elements[:-1]).shape == (5000,)
-        assert len(calls) == 2  # one batched call per _BATCH elements
+        # y has 4 nonzero columns, so a batch is _BATCH elements, not a
+        # _BLOCK of words (16384 elements).
+        assert len(state._support[0]) == 4
+        assert [len(args[0]) for args in calls] == [_BATCH, 5000 - _BATCH]
 
     def test_field_built_once_per_call(self, built_12_seed0, monkeypatch):
         params, state, _ = built_12_seed0
@@ -337,12 +403,12 @@ class TestQuery:
         m = params.m
         elements = [b"support-%d" % i for i in range(_BATCH + 3)]
         rows = [reference_row(params.seed, e, q, m) for e in elements]
-        widths = []
+        shapes = []
         sample = F.sample_field_elements
 
         def counted(*args, **kwargs):
             out = sample(*args, **kwargs)
-            widths.append(out.shape[1])
+            shapes.append(out.shape)
             return out
 
         monkeypatch.setattr(F, "sample_field_elements", counted)
@@ -357,10 +423,11 @@ class TestQuery:
         ):
             state = FilterState(params, galois.FieldVector(q, coords))
             want = [int(reference_dot(r, coords, q) == 0) for r in rows]
-            widths.clear()
+            shapes.clear()
             assert query_many(state, elements).tolist() == want
             support = sum(1 for c in coords if c)
-            assert widths == [support, support]  # one call per _BATCH elements
+            # m <= 10 columns, so each batch is _BATCH elements.
+            assert m <= 10 and shapes == [(_BATCH, support), (3, support)]
             assert query(state, elements[-1]) == want[-1]
 
     def test_hyperplane_accepts_exactly_one_in_q(self):
@@ -434,6 +501,25 @@ class TestSerialization:
         blob = serialize(state)
         assert len(blob) == 32 + 23
         assert deserialize(blob) == state
+
+    @pytest.mark.parametrize("m", [1, 7, 8, 9, 63, 64, 65, 4252])
+    def test_gf2_payload_is_the_packed_bits(self, m):
+        params = FilterParams(n=0, eps_K=0, q=2, m=m, seed=0)
+        coords = np.random.default_rng(m).integers(0, 2, size=m)
+        coords[-1] = 1
+        state = FilterState(params, galois.FieldVector(2, coords))
+        value = 0
+        for c in reversed(coords.tolist()):
+            value = value * 2 + c
+        payload = value.to_bytes((m + 7) // 8, "little")
+        blob = serialize(state)
+        assert blob == blob[: _HEADER.size] + payload
+        assert deserialize(blob) == state
+        # Every padding bit past m makes the value reach 2**m.
+        for bit in range(m, 8 * len(payload)):
+            padded = blob[:-1] + bytes([blob[-1] | 1 << (bit % 8)])
+            with pytest.raises(FileFormatError, match="capacity"):
+                deserialize(padded)
 
     def test_header_fields(self, built_12_seed0):
         params, state, _ = built_12_seed0

@@ -22,6 +22,7 @@ from membound.galois import (
     _BLOCK,
     _PANEL,
     _nullspace_general,
+    _pack_gf2,
     _rejection_threshold,
     _splitmix64,
     matmul_mod,
@@ -242,6 +243,15 @@ class TestNullspace:
             y = check(mat)
             assert y[f] == 1 and not any(y[f + 1 :])
 
+    @pytest.mark.parametrize("m", [1, 63, 64, 65, 130])
+    def test_packed_rows_hold_the_low_bits(self, m):
+        mat = np.random.default_rng(m).integers(0, 5, size=(3, m))
+        packed = _pack_gf2(mat)
+        assert packed.dtype == np.uint64 and packed.shape == (3, (m + 63) // 64)
+        for row, bits in zip(mat.tolist(), packed):
+            value = sum((v & 1) << j for j, v in enumerate(row))
+            assert int.from_bytes(bits.tobytes(), "little") == value
+
     def test_gf2_elimination_does_not_copy_the_matrix(self):
         mat = np.random.default_rng(19).integers(0, 2, size=(1000, 1100), dtype=np.int64)
         tracemalloc.start()
@@ -252,6 +262,19 @@ class TestNullspace:
             tracemalloc.stop()
         assert y is not None and not (mat @ y % 2).any()
         assert peak < mat.nbytes / 2
+
+    def test_general_elimination_copies_the_matrix_once(self):
+        # The trailing updates run in column chunks of about one _BLOCK, so
+        # the peak is the reduced copy plus a few chunk-sized temporaries.
+        mat = np.random.default_rng(29).integers(0, 3, size=(1000, 1100), dtype=np.int64)
+        tracemalloc.start()
+        try:
+            y = nullspace_of_matrix(mat, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert y is not None and not (mat @ y % 3).any()
+        assert peak < 1.5 * mat.nbytes
 
 
 def _reference_kernel(rows: list[list[int]], m: int, q: int) -> list[int] | None:
@@ -347,6 +370,24 @@ class TestBlockedEliminationAgainstReference:
             row[boundary] = sum(c * v for c, v in zip(coeffs, row)) % q
         y = _check_against_reference(rows, m, q)
         assert y[boundary] == 1 and not any(y[boundary + 1 :])
+
+    @pytest.mark.parametrize("q", [3, 4294967291])
+    @pytest.mark.parametrize("width", [_PANEL, 70])
+    def test_trailing_updates_in_column_chunks(self, q, width, monkeypatch):
+        # Shrink the block so the 137 columns are updated in chunks of
+        # `width` columns, on and off the panel boundaries.
+        m = 2 * _PANEL + 9
+        monkeypatch.setattr(galois, "_BLOCK", width * (m + 16))
+        rng = random.Random(q % 1000 + width)
+        _check_against_reference(_random_rows(rng, m - 2, m, q), m, q)
+        for free in (_PANEL + width - 1, m - 3):
+            rows = _random_rows(rng, m + 16, m, q)
+            coeffs = [rng.randrange(q) for _ in range(free)]
+            for row in rows:
+                row[free] = sum(c * v for c, v in zip(coeffs, row)) % q
+            y = _check_against_reference(rows, m, q)
+            assert y[free] == 1 and not any(y[free + 1 :])
+        assert _check_against_reference(_random_rows(rng, m + 2, m, q), m, q) is None
 
     @pytest.mark.parametrize("q", _WIDE_PRIMES)
     def test_no_rows_gives_first_basis_vector(self, q):
