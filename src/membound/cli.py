@@ -432,10 +432,44 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Options whose value is a float (or, for --p, a decimal or a sweep spec).
+_FLOAT_OPTIONS = frozenset({"--eps-k", "--eps-n", "--p"})
+
+
+def _is_float(word: str) -> bool:
+    try:
+        float(word)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_negative_floats(argv: Sequence[str]) -> list[str]:
+    """Join each float option to a following value that starts with "-".
+
+    argparse reads a word such as ``-inf`` or ``-1e-3`` as an option name,
+    so ``--eps-k -inf`` would be a usage error while ``--eps-k=-inf`` reaches
+    the domain check.  Joined, both spellings parse the same way.  Words
+    from a bare ``--`` on are left alone.
+    """
+    out: list[str] = []
+    for i, word in enumerate(argv):
+        if word == "--":
+            out.extend(argv[i:])
+            break
+        if out and out[-1] in _FLOAT_OPTIONS and word.startswith("-") and _is_float(word):
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(
+            _join_negative_floats(sys.argv[1:] if argv is None else argv)
+        )
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

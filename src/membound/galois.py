@@ -20,7 +20,11 @@ whether hashed element rows lie in its kernel.  This module provides:
   matrix of all the rows need exist.  Every other field takes a blocked
   Gauss-Jordan that factors panels of ``_PANEL`` columns and updates the
   rows above and below with ``matmul_mod`` products on column chunks of
-  about one ``_BLOCK``;
+  about one ``_BLOCK``.  A panel's pivots and the inverse of its pivot
+  block come from one pass over a short block of ``_PIVOT_SLACK`` more
+  rows than the panel has columns, extended by an identity; only a
+  rank-deficient short block with rows below it (probability about
+  q**-17 for random rows) falls back to a search of the full height;
 * ``WordStream`` -- a pure, keyed 64-bit word source (blake2b absorption +
   splitmix64 counter expansion), so every hash row is reproducible from
   (seed, element bytes) alone;
@@ -155,8 +159,14 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
 
 # Columns per panel of the blocked GF(q) elimination: wide enough that the
 # block products dominate, narrow enough that the per-column panel loop,
-# which touches every remaining row for each column, stays cheap.
+# which touches every row of the panel's short block for each column,
+# stays cheap.
 _PANEL = 64
+
+# Rows beyond a panel's width w in the short block its pivots are sought
+# in.  A (w + 16) x w block of uniform rows over GF(q) has rank below w
+# with probability under q**-16 / (q - 1): 1.2e-8 at q = 3.
+_PIVOT_SLACK = 16
 
 # Words per block of the sampling kernel (512 KB): a block and its scratch
 # stay in a core's L2 cache through the mixing, rejection and reduction.
@@ -202,10 +212,22 @@ def _nullspace_general(mat: np.ndarray, q: int) -> np.ndarray | None:
     """Kernel vector over GF(q) by right-looking blocked Gauss-Jordan.
 
     The columns are taken in panels of ``_PANEL``.  Each panel's pivots are
-    found by ``_gauss_jordan`` on a copy of the panel's own columns.  With B
-    the r x r block of the new pivot rows on the pivot columns, the pivot
-    rows' trailing part A1 becomes ``B^-1 A1`` and every other row loses
-    ``L`` times that, where ``L`` is its part of the pivot columns.  Each of
+    found by ``_gauss_jordan`` on a copy of the panel's own columns in its
+    first ``width + _PIVOT_SLACK`` remaining rows, with an identity of that
+    height appended.  With B the r x r block of the new pivot rows on the
+    pivot columns, rows 0..r-1 of the appended part, read at the original
+    positions of the rows swapped into 0..r-1, are B^-1.  Random rows give
+    that short block full rank on the panel except with probability about
+    q**-(_PIVOT_SLACK + 1).  When it is rank-deficient and rows remain below
+    it, the pivots are sought in every remaining row instead, and B^-1
+    comes from a second ``_gauss_jordan`` on [B | I].  One-sided filter
+    builds have fewer rows than columns, so their last panel's short block
+    holds every remaining row and the fallback is never needed there.
+    Which rows serve as pivots does not change the result (see below).
+
+    The pivot rows' trailing part A1 becomes ``B^-1 A1`` and every other
+    row loses ``L`` times that, where ``L`` is its part of the pivot
+    columns.  Each of
     the two block updates is one ``matmul_mod`` product per chunk of
     ``_BLOCK // k`` columns (at least ``_PANEL``), so their float64 and
     int64 temporaries stay near one block, not the size of the trailing
@@ -216,34 +238,54 @@ def _nullspace_general(mat: np.ndarray, q: int) -> np.ndarray | None:
 
     Every column before the first free column f is a pivot, so the kernel
     vector of the reduced-row-echelon convention is supported on columns
-    0..f and read off column f: the elimination stops there.
+    0..f and read off column f: the elimination stops there.  It is the one
+    kernel vector supported on columns 0..f with y_f = 1, whichever rows
+    the pivots came from.
     """
     a = np.asarray(mat, dtype=np.int64) % q
     k, m = a.shape
     for j0 in range(0, m, _PANEL):
         block = a[:, j0 : j0 + _PANEL]
         block %= q
-        panel = block[j0:].astype(np.uint64)
-        r, swaps = _gauss_jordan(panel, q, panel.shape[1])
+        width = block.shape[1]
+        height = min(width + _PIVOT_SLACK, k - j0)
+        short = np.concatenate(
+            [block[j0 : j0 + height].astype(np.uint64), np.eye(height, dtype=np.uint64)],
+            axis=1,
+        )
+        r, swaps = _gauss_jordan(short, q, width)
+        if r < width and j0 + height < k:
+            # Rank-deficient short block: search the full height instead.
+            r, swaps = _gauss_jordan(block[j0:].astype(np.uint64), q, width)
+            short = None
         for s, t in swaps:
             a[[j0 + s, j0 + t], j0:] = a[[j0 + t, j0 + s], j0:]
         j1 = j0 + r
         if j1 == m:
             return None
-        full = r == panel.shape[1]
+        full = r == width
         pivots = slice(j0, j1)
-        inverse = np.concatenate(
-            [a[pivots, pivots].astype(np.uint64), np.eye(r, dtype=np.uint64)], axis=1
-        )
-        _gauss_jordan(inverse, q, r)
+        if short is None:
+            inverse = np.concatenate(
+                [a[pivots, pivots].astype(np.uint64), np.eye(r, dtype=np.uint64)], axis=1
+            )
+            _gauss_jordan(inverse, q, r)
+            inverse = inverse[:, r:]
+        else:
+            # Rows 0..r-1 of the appended identity hold B^-1, its column i
+            # at the original position of the row now at position i.
+            order = np.arange(height)
+            for s, t in swaps:
+                order[[s, t]] = order[[t, s]]
+            inverse = short[:r, width + order[:r]]
         lower = -a[:, pivots] % q
         # Every column after the panel, or only the free column j1.
         stop = m if full else j1 + 1
-        width = max(_PANEL, _BLOCK // max(k, 1))
-        for c0 in range(j1, stop, width):
-            cols = slice(c0, min(c0 + width, stop))
+        chunk = max(_PANEL, _BLOCK // max(k, 1))
+        for c0 in range(j1, stop, chunk):
+            cols = slice(c0, min(c0 + chunk, stop))
             a[pivots, cols] %= q
-            top = matmul_mod(inverse[:, r:], a[pivots, cols], q)
+            top = matmul_mod(inverse, a[pivots, cols], q)
             a[:, cols] += matmul_mod(lower, top, q)
             a[pivots, cols] = top
         if not full:

@@ -1,9 +1,9 @@
 """Shared test helpers: random distribution pairs and a mutual-information
 reference implementation, used to cross-check the f_p functional; a
 plain-int reference of the keyed word stream and its rejection sampling,
-used to check the library's hashing without calling it; and an
-enumeration of every tiny tester, used to check the exact tiny-tester
-frontier."""
+used to check the library's hashing without calling it; a spy on the
+GF(q) elimination's panel searches; and an enumeration of every tiny
+tester, used to check the exact tiny-tester frontier."""
 
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import HealthCheck, settings
 
+from membound import galois
 from membound.bruteforce import ParetoPoint, TinyTesterSpec
 from membound.measures import DiscreteDistribution
 
@@ -111,6 +112,19 @@ def reference_row(seed: int, element: bytes, q: int, m: int) -> list[int]:
 
 def reference_dot(x, y, q: int) -> int:
     return sum(int(a) * int(b) for a, b in zip(x, y)) % q
+
+
+def spy_gauss_jordan(monkeypatch) -> list[int]:
+    """Record the row count of every ``galois._gauss_jordan`` call."""
+    heights: list[int] = []
+    inner = galois._gauss_jordan
+
+    def spy(x, q, ncols):
+        heights.append(x.shape[0])
+        return inner(x, q, ncols)
+
+    monkeypatch.setattr(galois, "_gauss_jordan", spy)
+    return heights
 
 
 _TABLE_CHUNK = 1 << 16

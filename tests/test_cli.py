@@ -144,6 +144,41 @@ class TestUsageErrors:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("value", ["-inf", "-nan", "-1e-3", "-1e400", "-0.5", "-2"])
+    @pytest.mark.parametrize(
+        "command,option",
+        [
+            ("frontier", "--eps-k"),
+            ("frontier", "--eps-n"),
+            ("frontier", "--p"),
+            ("filter build", "--eps-k"),
+            ("filter build", "--eps-n"),
+        ],
+    )
+    def test_negative_float_spellings_reach_one_refusal(
+        self, capsys, tmp_path, keys_file, command, option, value
+    ):
+        blob = tmp_path / "f.bin"
+        options = {"--eps-k": "0", "--eps-n": "0.5"}
+        if command == "frontier":
+            options["--p"] = "0.1"
+            extra = []
+        else:
+            extra = ["--keys", str(keys_file), "--out", str(blob)]
+        del options[option]
+        base = [*command.split(), *itertools.chain(*options.items()), *extra]
+        separate = run(capsys, *base, option, value)
+        joined = run(capsys, *base, f"{option}={value}")
+        assert separate == joined
+        rc, out, err = joined
+        assert (rc, out) == (1, "")
+        assert json.loads(err)["error"] == "domain"
+        assert not blob.exists()
+
+    def test_words_after_double_dash_are_not_joined(self):
+        argv = ["frontier", "--p", "-inf", "--", "--p", "-inf"]
+        assert cli._join_negative_floats(argv) == ["frontier", "--p=-inf", "--", "--p", "-inf"]
+
 
 class TestFrontier:
     def test_csv_on_stdout(self, capsys):

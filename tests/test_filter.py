@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import reference_dot, reference_row
+from conftest import reference_dot, reference_row, spy_gauss_jordan
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -233,6 +233,20 @@ class TestBuild:
             tracemalloc.stop()
         assert report.success and report.satisfied_keys == 2000
         assert peak < params.n * params.m  # an eighth of the int64 rows
+
+    def test_one_sided_panels_search_a_short_block(self, monkeypatch):
+        # A one-sided build has fewer keys than columns, so no panel's
+        # pivot search or inverse needs more rows than its short block.
+        heights = spy_gauss_jordan(monkeypatch)
+        rng = np.random.default_rng(300)
+        keys = [bytes(k) for k in rng.integers(0, 256, size=(300, 16), dtype=np.uint8)]
+        params = derive_params(300, 0, 1.0 / 3, 3)
+        state, report = build(params, keys)
+        assert report.success and query_many(state, keys).all()
+        # One call per panel up to the first free column, n: the inverse of
+        # each pivot block comes from the same call.
+        assert len(heights) == params.n // galois._PANEL + 1
+        assert max(heights) <= galois._PANEL + galois._PIVOT_SLACK
 
     def test_duplicate_keys_rejected(self):
         params = derive_params(3, 0, 0.5, 0)
@@ -586,6 +600,27 @@ class TestSerialization:
             params = derive_params(40, 0, 1.0 / q, q)
             state, _ = build(params, [b"pin-%d" % i for i in range(40)])
             assert hashlib.sha256(serialize(state)).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "q,n,digest",
+        [
+            (3, 300, "1ec9419c659db58eff9c64b06db07384d0a20c72409015b507c4434d3273aa6a"),
+            (5, 200, "02192a43efaa88867959c1470890df30d2e0f590b580f168997a0ebe5fdc9aab"),
+            (
+                4294967291,
+                80,
+                "3f58b5e95ac866e1f04cb960a61499e7f780a2280617db2291e59df98fd16df7",
+            ),
+        ],
+    )
+    def test_bytes_pinned_across_panels(self, q, n, digest):
+        # Digests taken at commit 31e910d, before each GF(q) panel's pivots
+        # were sought in a short block of rows.  m = 329, 215 and 81 span
+        # several elimination panels.
+        params = derive_params(n, 0, 1.0 / q, q)
+        assert params.m > galois._PANEL
+        state, _ = build(params, [b"pin-%d" % i for i in range(n)])
+        assert hashlib.sha256(serialize(state)).hexdigest() == digest
 
     def test_composite_q(self, built_12_seed0):
         blob = serialize(built_12_seed0[1])

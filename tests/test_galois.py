@@ -8,7 +8,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import reference_dot, reference_element, reference_row, reference_word
+from conftest import (
+    reference_dot,
+    reference_element,
+    reference_row,
+    reference_word,
+    spy_gauss_jordan,
+)
 
 from membound import (
     DomainError,
@@ -21,6 +27,7 @@ from membound import galois
 from membound.galois import (
     _BLOCK,
     _PANEL,
+    _PIVOT_SLACK,
     _nullspace_general,
     _pack_gf2,
     _rejection_threshold,
@@ -388,6 +395,64 @@ class TestBlockedEliminationAgainstReference:
             y = _check_against_reference(rows, m, q)
             assert y[free] == 1 and not any(y[free + 1 :])
         assert _check_against_reference(_random_rows(rng, m + 2, m, q), m, q) is None
+
+    @pytest.mark.parametrize("q", _WIDE_PRIMES)
+    def test_pivot_below_the_short_block(self, q, monkeypatch):
+        # A panel column with no pivot in the first _PANEL + _PIVOT_SLACK
+        # rows of its panel, and one further down, in panels 0 and 1 of 3.
+        heights = spy_gauss_jordan(monkeypatch)
+        rng = random.Random(q % 1000 + 1)
+        m, short = 2 * _PANEL + 9, _PANEL + _PIVOT_SLACK
+        # Panel 0 sees the input: column 10 is zero in rows 0..short-1.
+        rows = _random_rows(rng, short + 20, m, q)
+        for row in rows[:short]:
+            row[10] = 0
+        rows[short + 7][10] = 1
+        _check_against_reference(rows, m, q)
+        assert max(heights) == len(rows)
+        # Panel 1 sees rows _PANEL.. after panel 0's update: column
+        # _PANEL + 5 depends on columns 0.._PANEL+4 in every row of its
+        # short block, and not in the rows below it.
+        heights.clear()
+        rows = _random_rows(rng, _PANEL + short + 12, m, q)
+        coeffs = [rng.randrange(q) for _ in range(_PANEL + 5)]
+        for row in rows[: _PANEL + short]:
+            row[_PANEL + 5] = sum(c * v for c, v in zip(coeffs, row)) % q
+        assert _check_against_reference(rows, m, q) is None
+        assert len(rows) - _PANEL in heights
+
+    @pytest.mark.parametrize("q", _WIDE_PRIMES)
+    def test_rank_deficient_final_panel(self, q, monkeypatch):
+        # Column m-3 of the last panel depends on every column before it, so
+        # the full-height search below the short block finds no pivot either.
+        heights = spy_gauss_jordan(monkeypatch)
+        rng = random.Random(q % 1000 + 2)
+        m = 2 * _PANEL + 9
+        rows = _random_rows(rng, m + 20, m, q)
+        coeffs = [rng.randrange(q) for _ in range(m - 3)]
+        for row in rows:
+            row[m - 3] = sum(c * v for c, v in zip(coeffs, row)) % q
+        y = _check_against_reference(rows, m, q)
+        assert y[m - 3] == 1 and not any(y[m - 2 :])
+        assert len(rows) - 2 * _PANEL in heights
+
+    @pytest.mark.parametrize("q", _WIDE_PRIMES)
+    @pytest.mark.parametrize("zero_column", [False, True])
+    def test_short_block_holds_every_remaining_row(self, q, zero_column, monkeypatch):
+        # k - 2 * _PANEL rows remain for the last panel of 9 columns: fewer
+        # than the short block's 9 + _PIVOT_SLACK, or exactly that many.
+        heights = spy_gauss_jordan(monkeypatch)
+        rng = random.Random(q % 1000 + 3 + zero_column)
+        m = 2 * _PANEL + 9
+        for k in (m - 2, 2 * _PANEL + 9 + _PIVOT_SLACK):
+            rows = _random_rows(rng, k, m, q)
+            if zero_column:
+                # A zero column in the last panel: rank-deficient there, and
+                # no rows below the short block to search.
+                for row in rows:
+                    row[2 * _PANEL + 3] = 0
+            _check_against_reference(rows, m, q)
+        assert max(heights) <= _PANEL + _PIVOT_SLACK
 
     @pytest.mark.parametrize("q", _WIDE_PRIMES)
     def test_no_rows_gives_first_basis_vector(self, q):
