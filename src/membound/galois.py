@@ -57,6 +57,7 @@ __all__ = [
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+_MASK64 = (1 << 64) - 1
 
 # Witness set making Miller-Rabin deterministic for all n < 3.3 * 10**24,
 # far beyond the 32-bit moduli used here.
@@ -402,11 +403,16 @@ def _splitmix64(bases, indices, attempt, out, scratch=None) -> np.ndarray:
     """
     if not (0 <= operator.index(attempt) < 256):
         raise DomainError(f"attempt {attempt!r} out of range")
-    ctrs = (indices << np.uint64(8)) | np.uint64(attempt)
-    np.add(bases, np.uint64(_GOLDEN) * (ctrs + np.uint64(1)), out=out)
     shifted = (
         np.empty_like(out) if scratch is None else scratch[: out.size].reshape(out.shape)
     )
+    # golden * ((index << 8 | attempt) + 1) = golden * 256 * index
+    # + golden * (attempt + 1) mod 2**64 (at attempt 255 the + 1 carries into
+    # the index bits), built in the front of ``shifted`` without temporaries.
+    ctrs = shifted.reshape(-1)[: np.size(indices)].reshape(np.shape(indices))
+    np.multiply(indices, np.uint64((_GOLDEN << 8) & _MASK64), out=ctrs)
+    offsets = np.add(bases, np.uint64(_GOLDEN * (attempt + 1) & _MASK64))
+    np.add(offsets, ctrs, out=out)
     for shift, mult in ((30, _MIX1), (27, _MIX2)):
         np.right_shift(out, np.uint64(shift), out=shifted)
         np.bitwise_xor(out, shifted, out=out)

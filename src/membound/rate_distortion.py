@@ -330,7 +330,15 @@ def memory_lower_bound(n: int, fp_value: float) -> float:
 # iterating; the optimal rows follow as muK = r*wK/a, muN = r*wN/b.
 #
 # The score grid is _GRID_POINTS uniform locations (plus the closed-form
-# log-loss atoms and any tabulated locations).  Each dual is found by
+# log-loss atoms and any tabulated locations).  Only two kinds of location
+# can ever carry mass, so the solve runs on them alone: the vertices of the
+# lower-left convex hull of the finite pairs (d_K(x), d_N(x)), and every
+# location with an infinite penalty.  Any other x has penalties at or above a
+# mixture of hull vertices, and since 2^(-lambda*d) is convex in d (Jensen),
+# its (wK, wN) lies at or below the same mixture of theirs for every
+# lambda >= 0.  Binary metrics keep the points that rounding in 1 - x puts
+# strictly below the line d_K + d_N = 1; log-loss and mixed metrics have
+# strictly convex curves and keep every grid point.  Each dual is found by
 # _find_dual, outer on the key budget and inner on the non-key budget.  The
 # expectation a dual controls is nonincreasing in it and piecewise smooth in
 # u = ln(lambda), so the root is bracketed in u from a warm guess, widening
@@ -351,6 +359,11 @@ _MAX_ITERATIONS = 200
 # A bracket no wider than this, relative to max(1, lambda), straddles a jump;
 # it is also the smallest positive dual a bracket search tries.
 _JUMP_WIDTH = 1e-12
+# The pair scan in _zero_rate_solution is skipped only when the hull misses
+# the budget box by more than this, relative to 1 + the largest finite
+# penalty: the scan's mixing weights are exact to a few ulps, so no pair can
+# then look feasible by rounding.
+_ZERO_RATE_MARGIN = 1e-9
 
 
 @dataclass
@@ -578,14 +591,50 @@ def _find_dual(
         shrink = min(1.0, max(2.0 * shrink, 2.0**-52))
 
 
+def _hull_chain(dK: np.ndarray, dN: np.ndarray) -> np.ndarray:
+    """Indices of the vertices of the lower-left convex hull of the finite
+    pairs (dK, dN), by increasing dK (and so decreasing dN).
+
+    Of equal pairs the lowest index is kept.  Collinear points are dropped:
+    the orientation test is exact, on the penalties scaled to integers.
+    """
+    finite = np.nonzero(np.isfinite(dK) & np.isfinite(dN))[0]
+    order = finite[np.lexsort((finite, dN[finite], dK[finite]))]
+    # Pareto staircase: each kept pair has dN below every pair before it.
+    sN = dN[order]
+    below = np.concatenate(([True], sN[1:] < np.minimum.accumulate(sN)[:-1]))
+    stair = order[below]
+    ratios = [v.as_integer_ratio() for v in (*dK[stair].tolist(), *dN[stair].tolist())]
+    shift = max(den.bit_length() for _, den in ratios)
+    ints = [num << (shift - den.bit_length()) for num, den in ratios]
+    points = zip(ints[: stair.size], ints[stair.size :], stair.tolist())
+    hull: list[tuple[int, int, int]] = []
+    for pt in points:
+        while len(hull) >= 2:
+            (x1, y1, _), (x2, y2, _) = hull[-2], hull[-1]
+            if (x2 - x1) * (pt[1] - y1) - (y2 - y1) * (pt[0] - x1) <= 0:
+                hull.pop()
+            else:
+                break
+        hull.append(pt)
+    return np.array([h[2] for h in hull])
+
+
 def _zero_rate_solution(
-    grid: np.ndarray, dK: np.ndarray, dN: np.ndarray, eps_K: float, eps_N: float
+    grid: np.ndarray,
+    dK: np.ndarray,
+    dN: np.ndarray,
+    eps_K: float,
+    eps_N: float,
+    chain: Optional[np.ndarray] = None,
 ) -> Optional[np.ndarray]:
     """Masses of a single distribution feasible for both budgets, or None.
 
     Scans singletons in increasing location order, then pairs; a planar
     Pareto point of the achievable error set is a mixture of at most two
-    grid points, so pairs are exhaustive.
+    grid points, so pairs are exhaustive.  Given the ``_hull_chain`` of
+    (dK, dN), the pair scan is skipped when the chain misses the budget box
+    [0, eps_K] x [0, eps_N] by far more than the scan's rounding.
     """
     finite = np.isfinite(dK) & np.isfinite(dN)
     idx = np.nonzero(finite)[0]
@@ -597,6 +646,15 @@ def _zero_rate_solution(
         out = np.zeros(grid.size)
         out[idx[singles[0]]] = 1.0
         return out
+    if chain is not None:
+        # The hull's least dN over dK <= eps_K is the chain's value there.
+        cK, cN = dK[chain], dN[chain]
+        if eps_K < cK[0]:
+            miss = cK[0] - eps_K
+        else:
+            miss = float(np.interp(eps_K, cK, cN)) - eps_N
+        if miss > _ZERO_RATE_MARGIN * (1.0 + max(fK.max(), fN.max())):
+            return None
     ii, jj = np.triu_indices(idx.size, k=1)
 
     def t_interval(di, dj, eps):
@@ -638,6 +696,12 @@ def _build_grid(metric_K: ErrorMetric, metric_N: ErrorMetric, eps_K: float) -> n
     grid = np.sort(np.concatenate(pts))
     keep = np.concatenate(([True], np.diff(grid) > MERGE_TOL))
     return grid[keep]
+
+
+def _candidates(dK: np.ndarray, dN: np.ndarray, chain: np.ndarray) -> np.ndarray:
+    """The locations that can carry mass, in grid order: the hull chain's
+    vertices and every location with an infinite penalty."""
+    return np.union1d(chain, np.nonzero(np.isinf(dK) | np.isinf(dN))[0])
 
 
 def _distribution_from(grid: np.ndarray, idx: np.ndarray, masses: np.ndarray):
@@ -693,10 +757,13 @@ def solve_rp(
             f"non-key budget {eps_N} below the smallest achievable penalty {dN.min()}"
         )
 
-    common = _zero_rate_solution(grid, dK, dN, eps_K, eps_N)
+    chain = _hull_chain(dK, dN)
+    common = _zero_rate_solution(grid, dK, dN, eps_K, eps_N, chain)
     if common is not None:
         rho = _distribution_from(grid, np.nonzero(common)[0], common[common > 0.0])
         return FrontierPoint(p, eps_K, eps_N, 0.0, rho, rho, 0.0, 0.0, True)
+    keep = _candidates(dK, dN, chain)
+    grid, dK, dN = grid[keep], dK[keep], dN[keep]
 
     lamN_guess = 1.0
 

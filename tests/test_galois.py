@@ -682,6 +682,37 @@ class TestFieldSampling:
             assert vec.tolist() == scalar
             assert vec[0] == word % q
 
+    def test_counter_term_at_attempt_and_index_edges(self):
+        # (index << 8 | 255) + 1 carries into the index bits; the mixer must
+        # add the 1, in every layout it is called with: one row, rows of
+        # bases broadcast over indices, and with or without scratch.
+        streams = [WordStream(606, b"edge"), WordStream(607, b"edge")]
+        bases = np.array([[s._base] for s in streams], dtype=np.uint64)
+        indices = np.array([0, 1, 255, 256, 2**32, 2**56 - 2, 2**56 - 1], dtype=np.uint64)
+        for attempt in (0, 1, 254, 255):
+            want = [
+                [reference_word(s.seed, s.label, int(i), attempt) for i in indices]
+                for s in streams
+            ]
+            assert _words(streams[0], indices, attempt).tolist() == want[0]
+            scratch = np.empty(indices.size + 3, dtype=np.uint64)
+            assert _words(streams[0], indices, attempt, scratch).tolist() == want[0]
+            out = np.empty((2, indices.size), dtype=np.uint64)
+            assert _splitmix64(bases, indices, attempt, out).tolist() == want
+            out[:] = 0
+            scratch = np.empty(out.size, dtype=np.uint64)
+            assert _splitmix64(bases, indices, attempt, out, scratch).tolist() == want
+
+    def test_redraws_match_reference_at_the_last_index(self, monkeypatch):
+        # Draw 2**56 - 1 rejected at attempts 0..253, among accepted draws of
+        # a one-stream call; the redraw comes from attempt 254.
+        last = 2**56 - 1
+        forced = _ForcedRejection(monkeypatch, 780, b"reject", rejected=254, index=last)
+        for q in (3, 5, 4294967291):
+            got = sample_field_elements(forced, q, last - 5, 6).tolist()
+            assert got == [reference_element(forced.reference, q, last - 5 + i) for i in range(6)]
+            assert got[-1] == reference_word(780, b"reject", last, 254) % q
+
     def test_rejection_gives_up_after_256_attempts(self, monkeypatch):
         forced = _ForcedRejection(monkeypatch, 779, b"reject", rejected=256)
         with pytest.raises(RuntimeError):

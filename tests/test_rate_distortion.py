@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -625,3 +626,222 @@ class TestInnerSolve:
                     best = max(best, phi(wK[i] + t * da, wN[i] + t * db))
             assert phi(a, b) == pytest.approx(best, rel=1e-12, abs=1e-12)
 
+
+def _penalties(metric_K, metric_N, eps_K):
+    """solve_rp's grid and penalties, before any location is dropped as a
+    non-candidate."""
+    grid = rate_distortion._build_grid(metric_K, metric_N, eps_K)
+    dK = np.array([metric_value(metric_K, x) for x in grid])
+    dN = np.array([metric_value(metric_N, x) for x in grid])
+    both = np.isinf(dK) & np.isinf(dN)
+    return grid[~both], dK[~both], dN[~both]
+
+
+def _coarse_table(rng, side):
+    """A tabulated metric on a few coarse locations with coarse penalties,
+    so that penalty pairs tie, repeat and fall on common lines."""
+    anchor = 1.0 if side == "key" else 0.0
+    xs = {float(x) for x in rng.choice(np.linspace(0.0, 1.0, 21), int(rng.integers(1, 9)))}
+    rows = [(x, float(rng.choice([0.0, 0.5, 1.0, 1.5, 2.0]))) for x in sorted(xs - {anchor})]
+    rows.append((anchor, 0.0))
+    if side == "key":
+        return ErrorMetric.tabulated_key(rows)
+    return ErrorMetric.tabulated_nonkey(rows)
+
+
+def _metric_pairs(rng):
+    """Every metric pair the solver distinguishes, tabulated ones drawn anew."""
+    return (
+        (ErrorMetric.fnr(), ErrorMetric.fpr()),
+        (ErrorMetric.logloss_key(), ErrorMetric.logloss_nonkey()),
+        (ErrorMetric.fnr(), ErrorMetric.logloss_nonkey()),
+        (ErrorMetric.logloss_key(), ErrorMetric.fpr()),
+        (_coarse_table(rng, "key"), ErrorMetric.fpr()),
+        (_coarse_table(rng, "key"), _coarse_table(rng, "nonkey")),
+    )
+
+
+def _chain_oracle(dK, dN):
+    """Vertices of the lower-left hull of the finite pairs, by definition and
+    in exact rationals: a pair is dropped when another pair (or an equal one
+    at a lower index) is at or below-left of it, or when a segment between
+    two other pairs passes at or below it."""
+    idx = [i for i in range(dK.size) if math.isfinite(dK[i]) and math.isfinite(dN[i])]
+    pts = {i: (Fraction(dK[i]), Fraction(dN[i])) for i in idx}
+    keep = []
+    for i in idx:
+        x, y = pts[i]
+        others = [j for j in idx if j != i]
+        dropped = any(
+            pts[j][0] <= x and pts[j][1] <= y and (pts[j] != pts[i] or j < i) for j in others
+        ) or any(
+            pts[j][0] < x < pts[k][0]
+            and pts[j][1] + (x - pts[j][0]) / (pts[k][0] - pts[j][0]) * (pts[k][1] - pts[j][1]) <= y
+            for j in others
+            for k in others
+        )
+        if not dropped:
+            keep.append(i)
+    return sorted(keep, key=lambda i: pts[i])
+
+
+class TestCandidateSet:
+    """solve_rp runs on the lower-left hull chain of the penalty pairs and
+    the infinite-penalty locations; no other location can carry mass."""
+
+    def test_chain_matches_definition(self):
+        rng = np.random.default_rng(1717)
+        for case in range(40):
+            n = int(rng.integers(1, 11))
+            dK, dN = rng.uniform(0.0, 2.0, n), rng.uniform(0.0, 2.0, n)
+            if case % 2 == 0:  # coarse values: duplicates, ties, collinear triples
+                dK, dN = np.round(dK * 2.0) / 2.0, np.round(dN * 2.0) / 2.0
+            if case % 5 == 0:
+                dK[0] = math.inf
+            if n > 1 and case % 3 == 0:
+                dN[-1] = math.inf
+            if not np.any(np.isfinite(dK) & np.isfinite(dN)):
+                continue
+            chain = rate_distortion._hull_chain(dK, dN)
+            assert chain.tolist() == _chain_oracle(dK, dN), (dK, dN)
+
+    def test_chain_sizes(self):
+        # 1 - x rounds, so a few binary pairs fall strictly below the line
+        # d_K + d_N = 1; the log-loss and mixed curves are strictly convex.
+        sizes = {}
+        for metric_K, metric_N in _metric_pairs(np.random.default_rng(0))[:4]:
+            _, dK, dN = _penalties(metric_K, metric_N, 0.05)
+            chain = rate_distortion._hull_chain(dK, dN)
+            finite = int(np.sum(np.isfinite(dK) & np.isfinite(dN)))
+            sizes[metric_K.kind, metric_N.kind] = (chain.size, finite)
+        assert sizes[("fnr", "fpr")][0] < 10
+        for pair in sizes:
+            if pair != ("fnr", "fpr"):
+                assert sizes[pair][0] == sizes[pair][1]
+
+    def test_solve_rp_same_as_on_every_location(self, monkeypatch):
+        # Budgets cover ordinary points, a slack budget (its dual stays 0),
+        # zero-rate budgets, and budgets no location can meet.
+        rng = np.random.default_rng(4242)
+        every = lambda dK, dN, chain: np.arange(dK.size)  # noqa: E731
+        checked = 0
+        for case in range(8):
+            for metric_K, metric_N in _metric_pairs(rng):
+                p = float(np.exp(rng.uniform(math.log(1e-3), math.log(0.7))))
+                eps_K, eps_N = (float(v) for v in rng.uniform(0.0, 0.4, 2))
+                if case == 1:
+                    eps_K = 0.6
+                elif case == 2:
+                    eps_K, eps_N = 0.5, 0.9
+                elif case == 3:
+                    eps_K, eps_N = round(eps_K, 1), round(eps_N, 1)
+                outcomes = []
+                for patched in (False, True):
+                    with monkeypatch.context() as m:
+                        if patched:
+                            m.setattr(rate_distortion, "_candidates", every)
+                        try:
+                            outcomes.append(solve_rp(p, metric_K, metric_N, eps_K, eps_N))
+                        except (InfeasibleError, DomainError) as exc:
+                            outcomes.append(repr(exc))
+                assert outcomes[0] == outcomes[1], (p, metric_K, metric_N, eps_K, eps_N)
+                assert repr(outcomes[0]) == repr(outcomes[1])
+                checked += not isinstance(outcomes[0], str)
+        assert checked >= 30
+
+    def test_inner_solve_same_as_on_every_location(self):
+        # Exact in real arithmetic.  In floating point the two solves agree
+        # bit for bit whenever the full solve's support lies among the
+        # candidates.  Otherwise (binary metrics at duals near 1e-8 and
+        # below, where 2^(-lambda*d) rounds the nearly collinear weights into
+        # ties) the full solve picked one of many locations whose Lagrangian
+        # values agree to rounding, and the candidate solve's value must
+        # agree with it to rounding too.
+        rng = np.random.default_rng(99)
+        J, L = rate_distortion._JUMP_WIDTH, rate_distortion._LAMBDA_MAX
+        duals = [0.0, J, L, 1e-9] + [float(v) for v in np.exp(rng.uniform(-8.0, 8.0, 4))]
+
+        def value(p, sol, dK, dN, lamK, lamN):
+            # mu = r * w / a with sum(r) = 1 gives a = 1 / sum(mu / w).
+            wK = rate_distortion._tilt_weights(dK[sol.idx], lamK)
+            wN = rate_distortion._tilt_weights(dN[sol.idx], lamN * p / (1.0 - p))
+            a = 1.0 / math.fsum((sol.mK[sol.mK > 0] / wK[sol.mK > 0]).tolist())
+            b = 1.0 / math.fsum((sol.mN[sol.mN > 0] / wN[sol.mN > 0]).tolist())
+            return p * math.log(a) + (1.0 - p) * math.log(b)
+
+        exact = tied = 0
+        for metric_K, metric_N in _metric_pairs(rng):
+            _, dK, dN = _penalties(metric_K, metric_N, float(rng.uniform(0.01, 0.5)))
+            if not np.any(np.isfinite(dK) & np.isfinite(dN)):
+                continue
+            keep = rate_distortion._candidates(dK, dN, rate_distortion._hull_chain(dK, dN))
+            for lamK, lamN in itertools.product(duals, repeat=2):
+                p = float(rng.uniform(0.001, 0.9))
+                full = rate_distortion._inner_solve(p, dK, dN, lamK, lamN)
+                cand = rate_distortion._inner_solve(p, dK[keep], dN[keep], lamK, lamN)
+                case = (metric_K, metric_N, p, lamK, lamN)
+                if np.isin(full.idx, keep).all():
+                    assert keep[cand.idx].tolist() == full.idx.tolist(), case
+                    assert cand.mK.tolist() == full.mK.tolist(), case
+                    assert cand.mN.tolist() == full.mN.tolist(), case
+                    assert (cand.E_K, cand.E_N) == (full.E_K, full.E_N), case
+                    exact += 1
+                else:
+                    assert max(lamK, lamN) <= 1e-8, case
+                    got = value(p, cand, dK[keep], dN[keep], lamK, lamN)
+                    want = value(p, full, dK, dN, lamK, lamN)
+                    assert got == pytest.approx(want, rel=1e-12, abs=1e-15), case
+                    tied += 1
+        assert exact > 10 * tied
+
+
+class TestZeroRateShortcut:
+    """Given the hull chain, _zero_rate_solution skips its pair scan when the
+    chain misses the budget box by far more than rounding; otherwise the
+    scan runs unchanged.  Either way the answer is the scan's."""
+
+    def _budgets(self, dK, dN, chain, rng):
+        """Budgets at, just above and just below penalty pairs and points of
+        hull edges, and well below the chain."""
+        finite = np.flatnonzero(np.isfinite(dK) & np.isfinite(dN))
+        picked = np.concatenate((chain[:2], chain[-2:], rng.choice(chain, min(4, chain.size))))
+        picked = np.concatenate((picked, rng.choice(finite, min(4, finite.size), replace=False)))
+        pairs = [(dK[i], dN[i]) for i in picked]
+        for e in rng.choice(max(1, chain.size - 1), min(4, chain.size - 1), replace=False):
+            v, w = chain[e], chain[e + 1]
+            t = float(rng.uniform(0.0, 1.0))
+            pairs.append(((1 - t) * dK[v] + t * dK[w], (1 - t) * dN[v] + t * dN[w]))
+        out = []
+        for eK, eN in pairs:
+            for sK, sN in itertools.product((-math.inf, 0.0, math.inf), repeat=2):
+                out.append((float(np.nextafter(eK, sK)), float(np.nextafter(eN, sN))))
+            out.append((eK * 0.5, eN * 0.5))
+            out.append((max(0.0, eK - 1e-6), max(0.0, eN - 1e-6)))
+        return out
+
+    def test_same_masses_with_and_without_early_exit(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        scans = [0]
+        triu = np.triu_indices
+
+        def counting(*args, **kwargs):
+            scans[0] += 1
+            return triu(*args, **kwargs)
+
+        monkeypatch.setattr(np, "triu_indices", counting)
+        skipped = ran = 0
+        for metric_K, metric_N in _metric_pairs(rng):
+            grid, dK, dN = _penalties(metric_K, metric_N, 0.1)
+            chain = rate_distortion._hull_chain(dK, dN)
+            for eps_K, eps_N in self._budgets(dK, dN, chain, rng):
+                before = scans[0]
+                fast = rate_distortion._zero_rate_solution(grid, dK, dN, eps_K, eps_N, chain)
+                fast_scanned = scans[0] > before
+                full = rate_distortion._zero_rate_solution(grid, dK, dN, eps_K, eps_N)
+                if full is None:
+                    assert fast is None, (eps_K, eps_N)
+                    skipped += not fast_scanned
+                    ran += fast_scanned
+                else:
+                    assert fast is not None and fast.tolist() == full.tolist(), (eps_K, eps_N)
+        assert skipped > 50 and ran > 20
