@@ -15,7 +15,10 @@ Bern(1/q))`` bits per key and ``t_n = n**(2/3)``, so the payload spends
 orthogonality equations exactly by Gaussian elimination (a nonzero
 solution always exists because ``m > n``); with ``eps_K > 0`` it scans a
 deterministic seeded stream of candidate vectors and keeps the first one
-that satisfies enough keys.
+that satisfies enough keys.  Over GF(2) the scan counts a candidate's
+satisfied keys with ``ceil(m/8)`` lookups in tables of key masks, one
+table per byte of columns; over GF(q) with q >= 3 it counts a batch of
+candidates with one ``matmul_mod`` product.
 """
 
 from __future__ import annotations
@@ -290,6 +293,95 @@ def _kernel_gf2(params: FilterParams, keys: list[bytes]) -> tuple[np.ndarray, in
     return kernel, len(keys) - int((odd & np.uint64(1)).sum())
 
 
+def _popcount(words: np.ndarray) -> np.ndarray:
+    """Set bits in each word of a uint64 array, by the SWAR fold: bit
+    counts of 2, 4 and 8 bits, then the bytes summed into the top byte
+    (``np.bitwise_count`` needs numpy 2)."""
+    ones = 0x0101010101010101
+    fives, threes, fifteens = (np.uint64(ones * b) for b in (0x55, 0x33, 0x0F))
+    x = words - ((words >> np.uint64(1)) & fives)
+    x = (x & threes) + ((x >> np.uint64(2)) & threes)
+    x = (x + (x >> np.uint64(4))) & fifteens
+    return (x * np.uint64(ones)) >> np.uint64(56)
+
+
+def _scan(
+    params: FilterParams,
+    count: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+) -> tuple[FilterState | None, BuildReport]:
+    """The seeded candidate scan of a two-sided build.
+
+    Candidates are drawn ``_BATCH`` at a time from the candidate stream.
+    ``count`` maps such a ``(want, m)`` int64 block to a mask of its nonzero
+    rows and the number of keys each row satisfies; zero rows are skipped
+    and do not count as tried.  The lowest-index candidate that satisfies
+    ``params.threshold`` keys wins; if the budget runs out, the report
+    carries the best count seen.
+    """
+    m = params.m
+    stream = WordStream(params.seed, _CANDIDATE_TAG)
+    budget = params.search_budget
+    tried = 0
+    cursor = 0  # counts generated candidates, including skipped zero vectors
+    best = 0
+    while tried < budget:
+        want = min(_BATCH, budget - tried)
+        block = sample_field_elements(stream, params.q, cursor * m, want * m)
+        block = block.reshape(want, m)
+        cursor += want
+        nonzero, counts = count(block)
+        nonzero = np.flatnonzero(nonzero)
+        if nonzero.size == 0:
+            continue
+        counts = counts[nonzero]
+        hits = np.flatnonzero(counts >= params.threshold)
+        if hits.size:
+            first = int(hits[0])
+            winner = FieldVector(params.q, block[nonzero[first]])
+            report = BuildReport(
+                int(counts[first]), tried + first + 1, params.bits_payload, True
+            )
+            return FilterState(params, winner), report
+        best = max(best, int(counts.max()))
+        tried += nonzero.size
+    return None, BuildReport(best, tried, params.bits_payload, False)
+
+
+def _scan_gf2(
+    params: FilterParams, keys: list[bytes]
+) -> tuple[FilterState | None, BuildReport]:
+    """The two-sided scan over GF(2), counting satisfied keys by table
+    lookup on each candidate's packed bytes, with no float product.
+
+    Packed 64 keys per word, column c of the key rows is the mask of keys
+    whose row has bit c set.  For each byte j of columns, ``tables[j, v]``
+    is the XOR of the masks of the columns that v selects, filled by
+    doubling as in ``_eliminate_gf2`` (the Method of Four Russians).  The
+    XOR of the entries a candidate's bytes select is then the mask of keys
+    whose row has odd parity with it, the keys it fails, so it satisfies n
+    minus that mask's popcount.  The tables take about ``4*n*m`` bytes,
+    half of an int64 matrix of the key rows.
+    """
+    n, m = params.n, params.m
+    nbytes = (m + 7) // 8
+    masks = np.zeros((8 * nbytes, (n + 63) // 64), dtype=np.uint64)
+    masks[:m] = _pack_gf2(_hash_rows(params, keys).T)
+    masks = masks.reshape(nbytes, 8, 1, -1)
+    tables = np.zeros((nbytes, 256, masks.shape[-1]), dtype=np.uint64)
+    for i in range(8):
+        np.bitwise_xor(tables[:, : 1 << i], masks[:, i], out=tables[:, 1 << i : 2 << i])
+
+    def count(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        packed = _pack_gf2(block)
+        octets = packed.view(np.uint8)  # byte j holds columns 8j..8j+7
+        failed = tables[0, octets[:, 0]]
+        for j in range(1, nbytes):
+            failed ^= tables[j, octets[:, j]]
+        return packed.any(axis=1), n - _popcount(failed).sum(axis=1, dtype=np.int64)
+
+    return _scan(params, count)
+
+
 def build(
     params: FilterParams, keys: Sequence[bytes]
 ) -> tuple[FilterState | None, BuildReport]:
@@ -302,7 +394,9 @@ def build(
     rebuilding with the same inputs — even with a concurrent scan, as long
     as the lowest-index success is kept — returns an identical state.  If
     the candidate budget runs out the state is None and the report carries
-    ``success=False``.
+    ``success=False``.  Over GF(2) the candidates' satisfied keys are
+    counted by table lookup on their packed bytes (``_scan_gf2``); over
+    GF(q) with q >= 3 by ``matmul_mod`` products with the key rows.
     """
     keys = list(keys)
     if len(keys) != params.n:
@@ -326,36 +420,16 @@ def build(
             satisfied, 0, params.bits_payload, satisfied >= threshold
         )
 
+    if params.q == 2:
+        return _scan_gf2(params, keys)
     rows = _hash_rows(params, keys)
-    stream = WordStream(params.seed, _CANDIDATE_TAG)
-    budget = params.search_budget
-    tried = 0
-    cursor = 0  # counts generated candidates, including skipped zero vectors
-    best = 0
-    while tried < budget:
-        want = min(_BATCH, budget - tried)
-        block = sample_field_elements(
-            stream, params.q, cursor * params.m, want * params.m
-        ).reshape(want, params.m)
-        cursor += want
-        candidates = block[block.any(axis=1)]
-        if candidates.shape[0] == 0:
-            continue
-        candidates = candidates[: budget - tried]
-        counts = (matmul_mod(rows, candidates.T, params.q) == 0).sum(axis=0)
-        best = max(best, int(counts.max()))
-        hits = np.flatnonzero(counts >= threshold)
-        if hits.size:
-            first = int(hits[0])
-            tried += first + 1
-            winner = candidates[first]
-            satisfied = int((matmul_mod(rows, winner, params.q) == 0).sum())
-            state = FilterState(params, FieldVector(params.q, winner))
-            return state, BuildReport(
-                satisfied, tried, params.bits_payload, satisfied >= threshold
-            )
-        tried += candidates.shape[0]
-    return None, BuildReport(best, tried, params.bits_payload, False)
+    return _scan(
+        params,
+        lambda block: (
+            block.any(axis=1),
+            (matmul_mod(rows, block.T, params.q) == 0).sum(axis=0),
+        ),
+    )
 
 
 def query(state: FilterState, element: bytes) -> int:

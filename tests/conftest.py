@@ -1,9 +1,10 @@
 """Shared test helpers: random distribution pairs and a mutual-information
 reference implementation, used to cross-check the f_p functional; a
 plain-int reference of the keyed word stream and its rejection sampling,
-used to check the library's hashing without calling it; a spy on the
-GF(q) elimination's panel searches; and an enumeration of every tiny
-tester, used to check the exact tiny-tester frontier."""
+used to check the library's hashing without calling it, and of the
+two-sided GF(2) candidate scan; a spy on the GF(q) elimination's panel
+searches; and an enumeration of every tiny tester, used to check the
+exact tiny-tester frontier."""
 
 from __future__ import annotations
 
@@ -79,13 +80,19 @@ def direct_f_p(p: float, mu_K: DiscreteDistribution, mu_N: DiscreteDistribution)
 _MASK64 = (1 << 64) - 1
 
 
+@functools.lru_cache(maxsize=1024)
+def _reference_base(seed: int, label: bytes) -> int:
+    """The keyed 8-byte blake2b digest of a stream's label, as an int."""
+    key = seed.to_bytes(8, "little") + b"membound.v1"
+    digest = hashlib.blake2b(label, digest_size=8, key=key).digest()
+    return int.from_bytes(digest, "little")
+
+
 def reference_word(seed: int, label: bytes, index: int, attempt: int = 0) -> int:
     """Word ``(index, attempt)`` of the stream keyed by (seed, label), in plain ints:
     splitmix64(base + golden * ((index << 8 | attempt) + 1)) mod 2**64, with
     base the keyed 8-byte blake2b digest of the label."""
-    key = seed.to_bytes(8, "little") + b"membound.v1"
-    digest = hashlib.blake2b(label, digest_size=8, key=key).digest()
-    base = int.from_bytes(digest, "little")
+    base = _reference_base(seed, label)
     z = (base + 0x9E3779B97F4A7C15 * (((index << 8) | attempt) + 1)) & _MASK64
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
     z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
@@ -112,6 +119,40 @@ def reference_row(seed: int, element: bytes, q: int, m: int) -> list[int]:
 
 def reference_dot(x, y, q: int) -> int:
     return sum(int(a) * int(b) for a, b in zip(x, y)) % q
+
+
+def reference_scan(
+    seed: int, keys: list[bytes], m: int, threshold: int, budget: int
+) -> tuple[list[int] | None, int, int]:
+    """The two-sided GF(2) candidate scan, in plain ints.
+
+    Candidate i is draws i*m .. i*m + m - 1 of the stream labelled b"C";
+    zero candidates are skipped and not counted as tried.  Of the first
+    ``budget`` nonzero candidates, the lowest-index one whose dot product
+    with at least ``threshold`` key rows is even wins.  Returns the winner
+    (None when the budget runs out), its satisfied-key count (else the best
+    count seen) and the candidates tried.  Rows and candidates are held as
+    bit masks, so a dot product over GF(2) is the parity of an AND.
+    """
+
+    def mask(bits: list[int]) -> int:
+        return sum(bit << j for j, bit in enumerate(bits))
+
+    rows = [mask(reference_row(seed, key, 2, m)) for key in keys]
+    word = functools.partial(reference_word, seed, b"C")
+    tried = best = 0
+    for i in itertools.count():
+        if tried == budget:
+            return None, best, tried
+        y = [reference_element(word, 2, i * m + j) for j in range(m)]
+        if not any(y):
+            continue
+        tried += 1
+        y_mask = mask(y)
+        satisfied = sum(1 for row in rows if not (row & y_mask).bit_count() & 1)
+        if satisfied >= threshold:
+            return y, satisfied, tried
+        best = max(best, satisfied)
 
 
 def spy_gauss_jordan(monkeypatch) -> list[int]:

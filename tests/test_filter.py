@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import reference_dot, reference_row, spy_gauss_jordan
+from conftest import reference_dot, reference_row, reference_scan, spy_gauss_jordan
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -322,6 +322,162 @@ class TestBuild:
         assert not report.success
         assert report.candidates_tried == 1
         assert report.satisfied_keys == 6  # best candidate seen, below 9
+
+
+def _perfbench_keys(n):
+    return [
+        hashlib.blake2b(b"perfbench-%d-%d" % (n, i), digest_size=16).digest()
+        for i in range(n)
+    ]
+
+
+class TestTwoSidedScanAgainstReference:
+    """The GF(2) two-sided scan, which counts satisfied keys by table lookup
+    on packed candidate bytes, against ``reference_scan`` in plain ints."""
+
+    @staticmethod
+    def _check(monkeypatch, n, eps_K, m, seed, budget, tag=b"scan"):
+        monkeypatch.setattr(F, "_MAX_SEARCH_BUDGET", budget)
+        params = derive_params(n, eps_K, 0.5, seed)
+        assert params.m == m
+        keys = [tag + b"-%d" % i for i in range(n)]
+        state, report = build(params, keys)
+        y, satisfied, tried = reference_scan(
+            seed, keys, m, params.threshold, params.search_budget
+        )
+        assert report == F.BuildReport(satisfied, tried, m, y is not None)
+        assert (None if state is None else list(state.y.coords)) == y
+        return report
+
+    # m = 2..9; every key set fits one 64-bit word of key masks.  A budget
+    # of _BATCH leaves the scan its full search budget, 2**m - 1 <= 511.
+    @pytest.mark.parametrize("budget", [1, 7, _BATCH])
+    @pytest.mark.parametrize(
+        "n,eps_K,m",
+        [
+            (1, Fraction(1, 4), 2),
+            (2, Fraction(1, 4), 2),
+            (3, Fraction(3, 16), 3),
+            (4, Fraction(1, 5), 4),
+            (5, Fraction(1, 5), 5),
+            (8, Fraction(1, 4), 6),
+            (9, Fraction(1, 4), 7),
+            (10, Fraction(1, 5), 8),
+            (12, Fraction(1, 5), 9),
+        ],
+    )
+    def test_small_m(self, n, eps_K, m, budget, monkeypatch):
+        self._check(monkeypatch, n, eps_K, m, n, budget)
+
+    # m = 63..65 with key masks of one, two and three words.  Each threshold
+    # is out of reach, so every scan fails and the best count must match.
+    @pytest.mark.parametrize("budget", [1, 7, _BATCH + 1])
+    @pytest.mark.parametrize(
+        "n,eps_K,m",
+        [
+            (57, Fraction(1, 40), 63),
+            (64, Fraction(1, 21), 63),
+            (65, Fraction(1, 22), 64),
+            (100, Fraction(7, 50), 64),
+            (128, Fraction(3, 16), 65),
+            (129, Fraction(9, 46), 63),
+        ],
+    )
+    def test_word_boundaries(self, n, eps_K, m, budget, monkeypatch):
+        report = self._check(monkeypatch, n, eps_K, m, n, budget)
+        assert not report.success and report.candidates_tried == budget
+
+    @pytest.mark.parametrize("budget", [1, 7])
+    @pytest.mark.parametrize(
+        "n,eps_K,m",
+        [(124, Fraction(1, 39), 128), (129, Fraction(1, 32), 129), (130, Fraction(1, 32), 130)],
+    )
+    def test_wide_candidates(self, n, eps_K, m, budget, monkeypatch):
+        report = self._check(monkeypatch, n, eps_K, m, n, budget)
+        assert not report.success and report.candidates_tried == budget
+
+    def test_wide_candidates_across_a_batch(self, monkeypatch):
+        report = self._check(monkeypatch, 130, Fraction(1, 32), 130, 130, _BATCH + 1)
+        assert not report.success and report.candidates_tried == _BATCH + 1
+
+    # Seeds found by search: the first win is the last candidate of the first
+    # batch (20 keys) or the first of the second (24 keys).
+    @pytest.mark.parametrize("budget", [_BATCH, _BATCH + 1])
+    @pytest.mark.parametrize(
+        "n,eps_K,m,seed,win",
+        [(20, Fraction(1, 10), 18, 2898, _BATCH), (24, Fraction(1, 8), 20, 5124, _BATCH + 1)],
+    )
+    def test_wins_at_the_batch_boundary(self, n, eps_K, m, seed, win, budget, monkeypatch):
+        report = self._check(monkeypatch, n, eps_K, m, seed, budget, b"edge")
+        assert report.success == (win <= budget)
+        assert report.candidates_tried == min(win, budget)
+
+    def test_win_in_the_third_batch(self, monkeypatch):
+        report = self._check(monkeypatch, 20, Fraction(1, 10), 18, 9, 10**7)
+        assert report.success and report.candidates_tried == 9183
+
+    def test_zero_candidates_are_skipped(self, monkeypatch):
+        # With m = 2 a quarter of the candidates are zero; those a scan
+        # draws but does not try show up as draws beyond m * tried.
+        drawn = []
+        sample = F.sample_field_elements
+
+        def counted(stream, q, start, count, *rest):
+            if isinstance(stream, galois.WordStream):  # the candidate stream
+                drawn.append(count)
+            return sample(stream, q, start, count, *rest)
+
+        monkeypatch.setattr(F, "sample_field_elements", counted)
+        skipped = 0
+        for seed in range(20):
+            drawn.clear()
+            report = self._check(monkeypatch, 2, Fraction(1, 4), 2, seed, 7)
+            skipped += sum(drawn) // 2 - report.candidates_tried
+        assert skipped > 0
+
+    # Reports and blob digests of perfbench's five two-sided scans, taken at
+    # commit 846c86a, before the GF(2) scan counted keys by table lookup.
+    @pytest.mark.parametrize(
+        "n,eps_K,satisfied,tried,digest",
+        [
+            (12, Fraction(1, 12), 11, 40, "6b4644a396d13524f1ad23accb17d23b357937a21ff9fdb12a182d23afbfda5c"),
+            (16, Fraction(2, 16), 14, 1770, "20cf4abaa6ba120ce1fbbd751a4e59c659b7d6317105250f236cba4ec889e420"),
+            (20, Fraction(2, 20), 18, 3049, "4dedbd4d1a7e41fbd37b2953b1172c3572e5aad896937a56e7b2f9db5e047bba"),
+            (24, Fraction(2, 24), 23, 63276, "2e7bee515376d3b92efe93de2b4f78c48b09a8d6e45f60a733a8baf9bfef1977"),
+            (28, Fraction(2, 28), 26, 954781, "dd70452ed756ef06498341e9a8ab91a905a32ebc29ce8cf3e2a4c929b0bc47d5"),
+        ],
+    )
+    def test_perfbench_scans_pinned(self, n, eps_K, satisfied, tried, digest):
+        params = derive_params(n, eps_K, 0.5, 1)
+        state, report = build(params, _perfbench_keys(n))
+        assert report == F.BuildReport(satisfied, tried, params.m, True)
+        assert hashlib.sha256(serialize(state)).hexdigest() == digest
+
+    def test_no_float_product(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("matmul_mod called by a GF(2) scan")
+
+        monkeypatch.setattr(F, "matmul_mod", refuse)
+        params = derive_params(20, Fraction(2, 20), 0.5, 1)
+        _, report = build(params, _perfbench_keys(20))
+        assert report == F.BuildReport(18, 3049, 18, True)
+
+    def test_wide_scan_memory(self, monkeypatch):
+        # 1000 keys, m = 814, two batches of candidates.  Traced peaks:
+        # 125.9 MB at commit 846c86a (float64 copies of the key rows, the
+        # candidates and their product) and 84.1 MB with the table count
+        # (the candidate draws of two batches; the tables take 3.3 MB).
+        monkeypatch.setattr(F, "_MAX_SEARCH_BUDGET", 2 * _BATCH)
+        params = derive_params(1000, Fraction(1, 20), 0.5, 7)
+        keys = [b"big-%d" % i for i in range(1000)]
+        tracemalloc.start()
+        try:
+            state, report = build(params, keys)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert state is None and report == F.BuildReport(556, 2 * _BATCH, 814, False)
+        assert peak < 100e6
 
 
 class TestQuery:
