@@ -278,8 +278,8 @@ def _kernel_gf2(params: FilterParams, keys: list[bytes]) -> tuple[np.ndarray, in
     Keys are hashed ``_BLOCK // m`` rows at a time (one sampling block) and
     each chunk is packed into its rows of one bit matrix, which is then
     eliminated on a copy.  A key is satisfied when its packed row and ``y``
-    share an even number of set bits: the XOR of the shared words, folded
-    to one bit, is that parity (``np.bitwise_count`` needs numpy 2).
+    share an even number of set bits; that parity is the low bit of the
+    ``_popcount`` of the XOR of their shared words.
     """
     m = params.m
     step = max(1, _BLOCK // m)
@@ -287,10 +287,8 @@ def _kernel_gf2(params: FilterParams, keys: list[bytes]) -> tuple[np.ndarray, in
     for lo in range(0, len(keys), step):
         packed[lo : lo + step] = _pack_gf2(_hash_rows(params, keys[lo : lo + step]))
     kernel = _eliminate_gf2(packed.copy(), m)
-    odd = np.bitwise_xor.reduce(packed & _pack_gf2(kernel[None, :]), axis=1)
-    for shift in (32, 16, 8, 4, 2, 1):
-        odd ^= odd >> np.uint64(shift)
-    return kernel, len(keys) - int((odd & np.uint64(1)).sum())
+    shared = np.bitwise_xor.reduce(packed & _pack_gf2(kernel[None, :]), axis=1)
+    return kernel, len(keys) - int((_popcount(shared) & 1).sum())
 
 
 def _popcount(words: np.ndarray) -> np.ndarray:
@@ -549,13 +547,11 @@ class MeasuredRates:
     trials: int
 
 
-def wilson_interval(
-    successes: int, total: int, z: float = _WILSON_Z99
-) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, total: int) -> tuple[float, float]:
+    """Wilson score 99% interval for a binomial proportion."""
     if total == 0:
         return (0.0, 1.0)
-    phat = successes / total
+    z, phat = _WILSON_Z99, successes / total
     denom = 1.0 + z * z / total
     center = (phat + z * z / (2 * total)) / denom
     half = z * math.sqrt(phat * (1 - phat) / total + z * z / (4 * total * total))

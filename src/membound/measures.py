@@ -214,9 +214,10 @@ def binarize(mu: DiscreteDistribution) -> DiscreteDistribution:
     This is the score-space coarsening induced by thresholding bookkeeping:
     it preserves the expected value of any error metric linear in the score
     (false-negative and false-positive rates) and, by data processing, never
-    increases ``f_p``.
+    increases ``f_p``.  Masses sum to 1 only within the constructor's
+    tolerance, so the mean is capped at 1 (it is never negative).
     """
-    return DiscreteDistribution.bernoulli(mu.mean())
+    return DiscreteDistribution.bernoulli(min(1.0, mu.mean()))
 
 
 def wasserstein1(P: DiscreteDistribution, Q: DiscreteDistribution) -> float:

@@ -359,11 +359,6 @@ _MAX_ITERATIONS = 200
 # A bracket no wider than this, relative to max(1, lambda), straddles a jump;
 # it is also the smallest positive dual a bracket search tries.
 _JUMP_WIDTH = 1e-12
-# The pair scan in _zero_rate_solution is skipped only when the hull misses
-# the budget box by more than this, relative to 1 + the largest finite
-# penalty: the scan's mixing weights are exact to a few ulps, so no pair can
-# then look feasible by rounding.
-_ZERO_RATE_MARGIN = 1e-9
 
 
 @dataclass
@@ -626,61 +621,38 @@ def _zero_rate_solution(
     dN: np.ndarray,
     eps_K: float,
     eps_N: float,
-    chain: Optional[np.ndarray] = None,
+    chain: np.ndarray,
 ) -> Optional[np.ndarray]:
     """Masses of a single distribution feasible for both budgets, or None.
 
-    Scans singletons in increasing location order, then pairs; a planar
-    Pareto point of the achievable error set is a mixture of at most two
-    grid points, so pairs are exhaustive.  Given the ``_hull_chain`` of
-    (dK, dN), the pair scan is skipped when the chain misses the budget box
-    [0, eps_K] x [0, eps_N] by far more than the scan's rounding.
+    One law meets both budgets exactly when the convex hull of the finite
+    pairs (dK, dN) meets the budget box [0, eps_K] x [0, eps_N].  The first
+    finite location inside the box, in grid order, is returned alone.
+    Otherwise only the edge of the ``_hull_chain`` that crosses dK = eps_K
+    can reach the box: its midpoint mixture of the feasible stretch is
+    returned if its ``math.fsum`` expectations meet both budgets.
     """
-    finite = np.isfinite(dK) & np.isfinite(dN)
-    idx = np.nonzero(finite)[0]
-    if idx.size == 0:
-        return None
-    fK, fN = dK[idx], dN[idx]
-    singles = np.nonzero((fK <= eps_K) & (fN <= eps_N))[0]
-    if singles.size:
-        out = np.zeros(grid.size)
-        out[idx[singles[0]]] = 1.0
-        return out
-    if chain is not None:
-        # The hull's least dN over dK <= eps_K is the chain's value there.
-        cK, cN = dK[chain], dN[chain]
-        if eps_K < cK[0]:
-            miss = cK[0] - eps_K
-        else:
-            miss = float(np.interp(eps_K, cK, cN)) - eps_N
-        if miss > _ZERO_RATE_MARGIN * (1.0 + max(fK.max(), fN.max())):
-            return None
-    ii, jj = np.triu_indices(idx.size, k=1)
-
-    def t_interval(di, dj, eps):
-        lo = np.zeros_like(di)
-        hi = np.ones_like(di)
-        denom = di - dj
-        crossing = (eps - dj) / np.where(denom == 0.0, 1.0, denom)
-        hi = np.where(denom > 0.0, np.minimum(hi, crossing), hi)
-        lo = np.where(denom < 0.0, np.maximum(lo, crossing), lo)
-        flat_bad = (denom == 0.0) & (dj > eps)
-        lo = np.where(flat_bad, 2.0, lo)
-        return lo, hi
-
-    loK, hiK = t_interval(fK[ii], fK[jj], eps_K)
-    loN, hiN = t_interval(fN[ii], fN[jj], eps_N)
-    lo = np.maximum(loK, loN)
-    hi = np.minimum(hiK, hiN)
-    ok = np.nonzero(lo <= hi)[0]
-    if ok.size == 0:
-        return None
-    k = int(ok[0])
-    t = 0.5 * (lo[k] + hi[k])
     out = np.zeros(grid.size)
-    out[idx[ii[k]]] += t
-    out[idx[jj[k]]] += 1.0 - t
-    return out
+    finite = np.isfinite(dK) & np.isfinite(dN)
+    singles = np.nonzero(finite & (dK <= eps_K) & (dN <= eps_N))[0]
+    if singles.size:
+        out[singles[0]] = 1.0
+        return out
+    e = int(np.searchsorted(dK[chain], eps_K, side="right")) - 1
+    if e < 0 or e == chain.size - 1:
+        return None
+    # t, the weight on w, meets the key budget up to t_K and the non-key
+    # budget from t_N (dK rises and dN falls along the edge).
+    v, w = chain[e], chain[e + 1]
+    t_K = (eps_K - dK[v]) / (dK[w] - dK[v])
+    t_N = (dN[v] - eps_N) / (dN[v] - dN[w])
+    if t_N > t_K:
+        return None
+    t = 0.5 * (t_N + t_K)
+    out[v], out[w] = 1.0 - t, t
+    if _mean_penalty(out, dK) <= eps_K and _mean_penalty(out, dN) <= eps_N:
+        return out
+    return None
 
 
 def _build_grid(metric_K: ErrorMetric, metric_N: ErrorMetric, eps_K: float) -> np.ndarray:
@@ -727,8 +699,9 @@ def solve_rp(
     from a warm guess and refining it by Brent's method, with each inner
     Lagrangian minimized exactly.  A budget already satisfied at dual 0 is
     dropped.  Jointly feasible budgets short-circuit to rate 0 with
-    mu_K = mu_N.  The returned laws meet both budgets in floating point, so
-    the rate is never below R_p.
+    mu_K = mu_N, unless that law misses a budget by rounding and the dual
+    search runs.  The returned laws meet both budgets in floating point,
+    so the rate is never below R_p.
 
     Deterministic: the same inputs always produce the same FrontierPoint.
     """

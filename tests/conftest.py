@@ -3,8 +3,9 @@ reference implementation, used to cross-check the f_p functional; a
 plain-int reference of the keyed word stream and its rejection sampling,
 used to check the library's hashing without calling it, and of the
 two-sided GF(2) candidate scan; a spy on the GF(q) elimination's panel
-searches; and an enumeration of every tiny tester, used to check the
-exact tiny-tester frontier."""
+searches; an exact scan over pairs of penalty pairs, used to check the
+solver's rate-0 test; and an enumeration of every tiny tester, used to
+check the exact tiny-tester frontier."""
 
 from __future__ import annotations
 
@@ -153,6 +154,31 @@ def reference_scan(
         if satisfied >= threshold:
             return y, satisfied, tried
         best = max(best, satisfied)
+
+
+def zero_rate_feasible(dK, dN, eps_K, eps_N) -> bool:
+    """Whether a mixture of at most two finite penalty pairs (dK, dN) meets
+    both budgets, in exact rationals, by a scan over all pairs.
+
+    Budgets may be floats or Fractions; every value is scaled to an integer
+    by the common denominator.  A mixture of two points with dK above
+    eps_K, or two with dN above eps_N, misses the box; so besides single
+    points only pairs of a key-feasible point (x, y) and a non-key-feasible
+    one (x', y') remain.  The weight t on the second meets the key budget
+    for t <= (eps_K - x) / (x' - x) and the non-key budget for
+    t >= (y - eps_N) / (y - y'), both denominators positive.
+    """
+    finite = np.isfinite(dK) & np.isfinite(dN)
+    n = int(finite.sum())
+    values = [Fraction(v) for v in (*dK[finite].tolist(), *dN[finite].tolist(), eps_K, eps_N)]
+    scale = math.lcm(*(v.denominator for v in values))
+    ints = np.array([v.numerator * (scale // v.denominator) for v in values], dtype=object)
+    x, y, (eK, eN) = ints[:n], ints[n : 2 * n], ints[2 * n :]
+    if np.any((x <= eK) & (y <= eN)):
+        return True
+    kx, ky = x[x <= eK, None], y[x <= eK, None]
+    nx, ny = x[y <= eN], y[y <= eN]
+    return bool(np.any((ky - eN) * (nx - kx) <= (eK - kx) * (ky - ny)))
 
 
 def spy_gauss_jordan(monkeypatch) -> list[int]:

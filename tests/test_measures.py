@@ -242,6 +242,13 @@ class TestBinarize:
         for b in (0.0, 0.25, 1.0):
             assert binarize(B(b)).atoms == B(b).atoms
 
+    def test_mass_sum_above_one_within_tolerance(self):
+        # The constructor accepts masses summing within 1e-12 of 1, so the
+        # mean can exceed 1 by rounding; the Bernoulli law stays valid.
+        assert binarize(DiscreteDistribution(((1.0, 1.0 + 5e-13),))).atoms == B(1.0).atoms
+        mu = DiscreteDistribution(((0.5, 0.5), (1.0, 0.5 + 5e-13)))
+        assert binarize(mu).atoms == B(0.75 + 5e-13).atoms
+
     def test_preserves_binary_error_expectations(self):
         rng = np.random.default_rng(41)
         for _ in range(50):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import random_distribution
+from conftest import random_distribution, zero_rate_feasible
 
 from membound import (
     DiscreteDistribution,
@@ -795,14 +795,17 @@ class TestCandidateSet:
         assert exact > 10 * tied
 
 
-class TestZeroRateShortcut:
-    """Given the hull chain, _zero_rate_solution skips its pair scan when the
-    chain misses the budget box by far more than rounding; otherwise the
-    scan runs unchanged.  Either way the answer is the scan's."""
+class TestZeroRate:
+    """_zero_rate_solution decides rate 0 on the hull chain.  Every law it
+    returns meets both budgets under math.fsum, and it agrees with an exact
+    scan over pairs of penalty pairs wherever that scan's answer holds with
+    slack."""
+
+    SLACK = Fraction(1, 10**9)
 
     def _budgets(self, dK, dN, chain, rng):
         """Budgets at, just above and just below penalty pairs and points of
-        hull edges, and well below the chain."""
+        hull edges, a little above them, and well below the chain."""
         finite = np.flatnonzero(np.isfinite(dK) & np.isfinite(dN))
         picked = np.concatenate((chain[:2], chain[-2:], rng.choice(chain, min(4, chain.size))))
         picked = np.concatenate((picked, rng.choice(finite, min(4, finite.size), replace=False)))
@@ -815,33 +818,46 @@ class TestZeroRateShortcut:
         for eK, eN in pairs:
             for sK, sN in itertools.product((-math.inf, 0.0, math.inf), repeat=2):
                 out.append((float(np.nextafter(eK, sK)), float(np.nextafter(eN, sN))))
+            out.append((eK + 1e-6, eN + 1e-6))
             out.append((eK * 0.5, eN * 0.5))
             out.append((max(0.0, eK - 1e-6), max(0.0, eN - 1e-6)))
         return out
 
-    def test_same_masses_with_and_without_early_exit(self, monkeypatch):
+    def test_agrees_with_exact_pair_scan(self):
         rng = np.random.default_rng(31)
-        scans = [0]
-        triu = np.triu_indices
-
-        def counting(*args, **kwargs):
-            scans[0] += 1
-            return triu(*args, **kwargs)
-
-        monkeypatch.setattr(np, "triu_indices", counting)
-        skipped = ran = 0
+        singles = pairs = slack = boundary = none = 0
         for metric_K, metric_N in _metric_pairs(rng):
             grid, dK, dN = _penalties(metric_K, metric_N, 0.1)
             chain = rate_distortion._hull_chain(dK, dN)
             for eps_K, eps_N in self._budgets(dK, dN, chain, rng):
-                before = scans[0]
-                fast = rate_distortion._zero_rate_solution(grid, dK, dN, eps_K, eps_N, chain)
-                fast_scanned = scans[0] > before
-                full = rate_distortion._zero_rate_solution(grid, dK, dN, eps_K, eps_N)
-                if full is None:
-                    assert fast is None, (eps_K, eps_N)
-                    skipped += not fast_scanned
-                    ran += fast_scanned
-                else:
-                    assert fast is not None and fast.tolist() == full.tolist(), (eps_K, eps_N)
-        assert skipped > 50 and ran > 20
+                case = (metric_K, metric_N, eps_K, eps_N)
+                law = rate_distortion._zero_rate_solution(grid, dK, dN, eps_K, eps_N, chain)
+                feasible = zero_rate_feasible(dK, dN, eps_K, eps_N)
+                if law is None:
+                    assert not feasible or not zero_rate_feasible(
+                        dK, dN, eps_K - self.SLACK, eps_N - self.SLACK
+                    ), case
+                    boundary += feasible
+                    none += not feasible
+                    continue
+                assert feasible, case
+                carrier = np.flatnonzero(law)
+                assert carrier.size <= 2 and law.min() >= 0.0, case
+                assert math.fsum(law.tolist()) == pytest.approx(1.0, abs=1e-15), case
+                for d, eps in ((dK, eps_K), (dN, eps_N)):
+                    assert math.fsum((law[carrier] * d[carrier]).tolist()) <= eps, case
+                singles += carrier.size == 1
+                pairs += carrier.size == 2
+                slack += zero_rate_feasible(dK, dN, eps_K - self.SLACK, eps_N - self.SLACK)
+        assert singles > 100 and pairs > 70 and slack > 50 and boundary > 0 and none > 300
+
+    @pytest.mark.parametrize(
+        "eps_K, eps_N",
+        [(0.5745896289270259, 0.42541037107297397), (0.8876760209080197, 0.11232397909198029)],
+    )
+    def test_boundary_budgets_are_met(self, eps_K, eps_N):
+        # Both budgets sit on a hull edge: a mixing weight at either end of
+        # the feasible stretch, once rounded, lands a few ulps over a budget.
+        point = solve_rp(0.1, ErrorMetric.fnr(), ErrorMetric.fpr(), eps_K, eps_N)
+        assert point.converged and point.rate_bits_per_key == 0.0
+        assert _budget_excess(point, ErrorMetric.fnr(), ErrorMetric.fpr()) <= 0.0
