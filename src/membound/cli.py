@@ -229,8 +229,8 @@ def _run_filter_build(args) -> int:
     state, report = filter_mod.build(params, keys)
     if state is None:
         raise DomainError(
-            f"candidate budget exhausted after {report.candidates_tried} tries "
-            f"(best satisfied {report.satisfied_keys} of {params.threshold} needed)"
+            f"no vector found in {report.candidates_tried + 1} attempts: the best "
+            f"satisfied {report.satisfied_keys} keys of {params.threshold} needed"
         )
     Path(args.out).write_bytes(filter_mod.serialize(state))
     doc = {

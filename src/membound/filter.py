@@ -11,14 +11,13 @@ false-negative rate at ``eps_K``.
 Sizing is information-theoretically tight up to a vanishing slack term:
 ``m = ceil((n*D + t_n) / log2 q)`` with ``D = KL(Bern(1-eps_K) ||
 Bern(1/q))`` bits per key and ``t_n = n**(2/3)``, so the payload spends
-``D + o(1)`` bits per key.  With ``eps_K = 0`` the build solves the ``n``
-orthogonality equations exactly by Gaussian elimination (a nonzero
-solution always exists because ``m > n``); with ``eps_K > 0`` it scans a
-deterministic seeded stream of candidate vectors and keeps the first one
-that satisfies enough keys.  Over GF(2) the scan counts a candidate's
-satisfied keys with ``ceil(m/8)`` lookups in tables of key masks, one
-table per byte of columns; over GF(q) with q >= 3 it counts a batch of
-candidates with one ``matmul_mod`` product.
+``D + o(1)`` bits per key.  The build forces key rows to zero: it takes
+the kernel vector of ``k = min(n, m - 1)`` key rows and keeps it if it
+satisfies enough keys.  With ``eps_K = 0`` the first attempt forces every
+key (a nonzero solution always exists because ``m > n``); with
+``eps_K > 0`` later attempts force seeded subsets of the keys
+(information-set decoding), and the first vector that satisfies enough
+keys wins.
 """
 
 from __future__ import annotations
@@ -70,9 +69,12 @@ _VERSION = 1
 _HEADER = struct.Struct("<2sHIIIIIQ")
 _MAX_DENOMINATOR = (1 << 32) - 1
 _ELEMENT_TAG = b"E"
-_CANDIDATE_TAG = b"C"
+_SUBSET_TAG = b"C"
+# A prime near 2**61: subset draws are uniform ranks, ties broken by key order.
+_RANK_MODULUS = (1 << 61) - 1
+# Seeded subsets a two-sided build forces after the first k keys.
+_MAX_ATTEMPTS = 1000
 _BATCH = 4096
-_MAX_SEARCH_BUDGET = 10**7
 
 # Two-sided 99% normal quantile used for Wilson confidence intervals.
 _WILSON_Z99 = 2.5758293035489004
@@ -160,13 +162,6 @@ class FilterParams:
         return self.q**self.m
 
     @property
-    def search_budget(self) -> int:
-        """Candidates a two-sided build may try: ``min(q**m - 1, 10**7)``."""
-        if self.m * math.log2(self.q) > 64:  # do not compute a huge q**m
-            return _MAX_SEARCH_BUDGET
-        return min(self.capacity - 1, _MAX_SEARCH_BUDGET)
-
-    @property
     def bits_payload(self) -> int:
         """Exact payload width: the number of bits in q**m - 1."""
         return (self.capacity - 1).bit_length()
@@ -243,7 +238,9 @@ class FilterState:
 
 @dataclass(frozen=True)
 class BuildReport:
-    """Outcome of a build: how many keys the chosen vector satisfies."""
+    """Outcome of a build: how many keys the chosen vector satisfies, or
+    the most any attempt satisfied when the build failed, and the number of
+    seeded subsets tried (0 when the first ``k`` keys sufficed)."""
 
     satisfied_keys: int
     candidates_tried: int
@@ -271,24 +268,16 @@ def _hash_rows(
     return sample_field_elements(streams, params.q, 0, params.m, columns)
 
 
-def _kernel_gf2(params: FilterParams, keys: list[bytes]) -> tuple[np.ndarray, int]:
-    """The GF(2) kernel vector of the key rows and the number of keys it
-    satisfies, with no int64 matrix of all the rows.
-
-    Keys are hashed ``_BLOCK // m`` rows at a time (one sampling block) and
-    each chunk is packed into its rows of one bit matrix, which is then
-    eliminated on a copy.  A key is satisfied when its packed row and ``y``
-    share an even number of set bits; that parity is the low bit of the
-    ``_popcount`` of the XOR of their shared words.
-    """
+def _packed_rows(params: FilterParams, keys: list[bytes]) -> np.ndarray:
+    """The GF(2) hash rows of the keys packed as by ``_pack_gf2``, with no
+    int64 matrix of all the rows: keys are hashed ``_BLOCK // m`` rows at a
+    time (one sampling block) and each chunk is packed into its rows."""
     m = params.m
     step = max(1, _BLOCK // m)
     packed = np.empty((len(keys), (m + 63) // 64), dtype=np.uint64)
     for lo in range(0, len(keys), step):
         packed[lo : lo + step] = _pack_gf2(_hash_rows(params, keys[lo : lo + step]))
-    kernel = _eliminate_gf2(packed.copy(), m)
-    shared = np.bitwise_xor.reduce(packed & _pack_gf2(kernel[None, :]), axis=1)
-    return kernel, len(keys) - int((_popcount(shared) & 1).sum())
+    return packed
 
 
 def _popcount(words: np.ndarray) -> np.ndarray:
@@ -303,98 +292,28 @@ def _popcount(words: np.ndarray) -> np.ndarray:
     return (x * np.uint64(ones)) >> np.uint64(56)
 
 
-def _scan(
-    params: FilterParams,
-    count: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-) -> tuple[FilterState | None, BuildReport]:
-    """The seeded candidate scan of a two-sided build.
-
-    Candidates are drawn ``_BATCH`` at a time from the candidate stream.
-    ``count`` maps such a ``(want, m)`` int64 block to a mask of its nonzero
-    rows and the number of keys each row satisfies; zero rows are skipped
-    and do not count as tried.  The lowest-index candidate that satisfies
-    ``params.threshold`` keys wins; if the budget runs out, the report
-    carries the best count seen.
-    """
-    m = params.m
-    stream = WordStream(params.seed, _CANDIDATE_TAG)
-    budget = params.search_budget
-    tried = 0
-    cursor = 0  # counts generated candidates, including skipped zero vectors
-    best = 0
-    while tried < budget:
-        want = min(_BATCH, budget - tried)
-        block = sample_field_elements(stream, params.q, cursor * m, want * m)
-        block = block.reshape(want, m)
-        cursor += want
-        nonzero, counts = count(block)
-        nonzero = np.flatnonzero(nonzero)
-        if nonzero.size == 0:
-            continue
-        counts = counts[nonzero]
-        hits = np.flatnonzero(counts >= params.threshold)
-        if hits.size:
-            first = int(hits[0])
-            winner = FieldVector(params.q, block[nonzero[first]])
-            report = BuildReport(
-                int(counts[first]), tried + first + 1, params.bits_payload, True
-            )
-            return FilterState(params, winner), report
-        best = max(best, int(counts.max()))
-        tried += nonzero.size
-    return None, BuildReport(best, tried, params.bits_payload, False)
-
-
-def _scan_gf2(
-    params: FilterParams, keys: list[bytes]
-) -> tuple[FilterState | None, BuildReport]:
-    """The two-sided scan over GF(2), counting satisfied keys by table
-    lookup on each candidate's packed bytes, with no float product.
-
-    Packed 64 keys per word, column c of the key rows is the mask of keys
-    whose row has bit c set.  For each byte j of columns, ``tables[j, v]``
-    is the XOR of the masks of the columns that v selects, filled by
-    doubling as in ``_eliminate_gf2`` (the Method of Four Russians).  The
-    XOR of the entries a candidate's bytes select is then the mask of keys
-    whose row has odd parity with it, the keys it fails, so it satisfies n
-    minus that mask's popcount.  The tables take about ``4*n*m`` bytes,
-    half of an int64 matrix of the key rows.
-    """
-    n, m = params.n, params.m
-    nbytes = (m + 7) // 8
-    masks = np.zeros((8 * nbytes, (n + 63) // 64), dtype=np.uint64)
-    masks[:m] = _pack_gf2(_hash_rows(params, keys).T)
-    masks = masks.reshape(nbytes, 8, 1, -1)
-    tables = np.zeros((nbytes, 256, masks.shape[-1]), dtype=np.uint64)
-    for i in range(8):
-        np.bitwise_xor(tables[:, : 1 << i], masks[:, i], out=tables[:, 1 << i : 2 << i])
-
-    def count(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        packed = _pack_gf2(block)
-        octets = packed.view(np.uint8)  # byte j holds columns 8j..8j+7
-        failed = tables[0, octets[:, 0]]
-        for j in range(1, nbytes):
-            failed ^= tables[j, octets[:, j]]
-        return packed.any(axis=1), n - _popcount(failed).sum(axis=1, dtype=np.int64)
-
-    return _scan(params, count)
-
-
 def build(
     params: FilterParams, keys: Sequence[bytes]
 ) -> tuple[FilterState | None, BuildReport]:
-    """Choose the filter vector ``y`` for a key set.
+    """Choose the filter vector ``y`` for a key set by forcing key rows to zero.
 
-    With ``eps_K = 0`` or no keys the vector is an exact kernel vector of
-    the key rows (it exists because ``m > n``; no rows give e_0).  Otherwise
-    candidates are drawn from the seeded stream in a fixed order and the
-    first one satisfying at least ``ceil((1-eps_K)*n)`` keys wins, so
-    rebuilding with the same inputs — even with a concurrent scan, as long
-    as the lowest-index success is kept — returns an identical state.  If
-    the candidate budget runs out the state is None and the report carries
-    ``success=False``.  Over GF(2) the candidates' satisfied keys are
-    counted by table lookup on their packed bytes (``_scan_gf2``); over
-    GF(q) with q >= 3 by ``matmul_mod`` products with the key rows.
+    The keys are sorted by their bytes and hashed once.  Each attempt
+    takes ``k = min(n, m - 1)`` of the key rows and returns their
+    reduced-row-echelon kernel vector, which exists because ``k < m`` and
+    satisfies at least those ``k`` keys.  Attempt 0 forces the first ``k``
+    keys: with ``eps_K = 0`` that is every key (``m > n``), and whenever
+    ``k`` reaches ``ceil((1-eps_K)*n)`` it succeeds.  Attempt ``a >= 1``
+    forces the keys at the first ``k`` places of the stable argsort of
+    draws ``(a-1)*n .. a*n - 1`` of the seeded subset stream
+    (information-set decoding: Prange 1962).  The first vector satisfying
+    the threshold wins, so the result depends only on the parameters and
+    the key set, not the key order.  After ``_MAX_ATTEMPTS`` seeded
+    subsets, or after attempt 0 when ``k = n`` and every subset is the
+    same, the state is None and the report carries the best count with
+    ``success=False``.  Over GF(2) the rows are bit-packed and a vector's
+    satisfied keys are those whose packed row shares an even number of set
+    bits with it; over GF(q) with q >= 3 they are counted by one
+    ``matmul_mod`` product with the key rows.
     """
     keys = list(keys)
     if len(keys) != params.n:
@@ -402,32 +321,43 @@ def build(
     _require_bytes(keys)
     if len(set(keys)) != len(keys):
         raise DomainError("keys must be distinct")
-    threshold = params.threshold
+    keys.sort()
+    n, q, m = params.n, params.q, params.m
+    k = min(n, m - 1)
 
-    if params.eps_K == 0 or params.n == 0:
-        if params.q == 2:
-            kernel, satisfied = _kernel_gf2(params, keys)
-        else:
-            rows = _hash_rows(params, keys)
-            kernel = nullspace_of_matrix(rows, params.q)
-            satisfied = int((matmul_mod(rows, kernel, params.q) == 0).sum())
-        # m = n + ceil(t_n/log2 q) > n bounds the rank below m, so a
-        # nonzero kernel vector always exists.
-        state = FilterState(params, FieldVector(params.q, kernel))
-        return state, BuildReport(
-            satisfied, 0, params.bits_payload, satisfied >= threshold
-        )
+    if q == 2:
+        rows = _packed_rows(params, keys)
 
-    if params.q == 2:
-        return _scan_gf2(params, keys)
-    rows = _hash_rows(params, keys)
-    return _scan(
-        params,
-        lambda block: (
-            block.any(axis=1),
-            (matmul_mod(rows, block.T, params.q) == 0).sum(axis=0),
-        ),
-    )
+        def kernel(forced) -> np.ndarray:
+            return _eliminate_gf2(rows[forced].copy(), m)  # eliminated in place
+
+        def satisfied(y: np.ndarray) -> int:
+            shared = np.bitwise_xor.reduce(rows & _pack_gf2(y[None, :]), axis=1)
+            return n - int((_popcount(shared) & 1).sum())
+
+    else:
+        rows = _hash_rows(params, keys)
+
+        def kernel(forced) -> np.ndarray:
+            return nullspace_of_matrix(rows[forced], q)
+
+        def satisfied(y: np.ndarray) -> int:
+            return int((matmul_mod(rows, y, q) == 0).sum())
+
+    stream = WordStream(params.seed, _SUBSET_TAG)
+    forced = slice(0, k)  # a view of the rows, not a copy
+    best = 0
+    for attempt in range(_MAX_ATTEMPTS + 1 if k < n else 1):
+        if attempt:
+            draws = sample_field_elements(stream, _RANK_MODULUS, (attempt - 1) * n, n)
+            forced = np.argsort(draws, kind="stable")[:k]
+        y = kernel(forced)
+        count = satisfied(y)
+        if count >= params.threshold:
+            state = FilterState(params, FieldVector(q, y))
+            return state, BuildReport(count, attempt, params.bits_payload, True)
+        best = max(best, count)
+    return None, BuildReport(best, attempt, params.bits_payload, False)
 
 
 def query(state: FilterState, element: bytes) -> int:
@@ -458,13 +388,21 @@ def query_many(state: FilterState, elements: Sequence[bytes]) -> np.ndarray:
     return out
 
 
+def _word_powers(q: int) -> np.ndarray:
+    """``q**i`` for the ``g = 63 // bit_length(q - 1)`` base-q digits that
+    one int64 word holds: ``q**g <= 2**63``, so any g digits combine below it."""
+    return q ** np.arange(63 // (q - 1).bit_length(), dtype=np.int64)
+
+
 def serialize(state: FilterState) -> bytes:
     """Fixed 32-byte header plus the base-q packing of ``y``.
 
     The payload is the little-endian encoding of ``sum(y_j * q**j)`` in
     exactly ``ceil(bits_payload / 8)`` bytes, so equal states are
     byte-identical on every platform.  For q = 2 that is ``y``'s bits
-    packed little-endian, eight coordinates per byte.
+    packed little-endian, eight coordinates per byte.  The digits are
+    combined ``g`` to an int64 word by ``_word_powers``, then the words in
+    base ``q**g``.
     """
     p = state.params
     header = _HEADER.pack(
@@ -477,11 +415,12 @@ def serialize(state: FilterState) -> bytes:
         p.eps_K.denominator,
         p.seed,
     )
-    if p.q == 2:
-        return header + np.packbits(state.y.array, bitorder="little").tobytes()
-    value = 0
-    for c in reversed(state.y.array.tolist()):
-        value = value * p.q + c
+    powers = _word_powers(p.q)
+    digits = np.zeros(-(-p.m // powers.size) * powers.size, dtype=np.int64)
+    digits[: p.m] = state.y.array
+    radix, value = p.q**powers.size, 0
+    for word in reversed((digits.reshape(-1, powers.size) @ powers).tolist()):
+        value = value * radix + word
     return header + value.to_bytes(p.payload_bytes, "little")
 
 
@@ -516,22 +455,17 @@ def deserialize(data: bytes) -> FilterState:
         raise FileFormatError(
             f"payload is {len(payload)} bytes, expected {params.payload_bytes}"
         )
-    if q == 2:
-        # Bit j is y_j, so the value reaches 2**m exactly when a bit past m is set.
-        bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), bitorder="little")
-        if bits[m:].any():
-            raise FileFormatError("payload exceeds the base-q capacity of y")
-        coords = bits[:m]
-    else:
-        value = int.from_bytes(payload, "little")
-        if value >= params.capacity:
-            raise FileFormatError("payload exceeds the base-q capacity of y")
-        coords = []
-        for _ in range(m):
-            coords.append(value % q)
-            value //= q
+    value = int.from_bytes(payload, "little")
+    if value >= params.capacity:
+        raise FileFormatError("payload exceeds the base-q capacity of y")
+    powers = _word_powers(q)
+    radix, words = q**powers.size, []
+    for _ in range(-(-m // powers.size)):
+        value, word = divmod(value, radix)
+        words.append(word)
+    coords = (np.array(words, dtype=np.int64)[:, None] // powers % q).reshape(-1)[:m]
     try:
-        return FilterState(params, FieldVector(q, np.array(coords, dtype=np.int64)))
+        return FilterState(params, FieldVector(q, coords))
     except DomainError as exc:
         raise FileFormatError(str(exc)) from exc
 

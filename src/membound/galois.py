@@ -425,8 +425,8 @@ def _splitmix64(bases, indices, attempt, out, scratch=None) -> np.ndarray:
 class WordStream:
     """A pure stream of 64-bit words keyed by ``(seed, label)``.
 
-    The label (an element identifier, or a role tag such as a candidate
-    namespace) is absorbed into a 64-bit base with keyed blake2b.  The word
+    The label (an element identifier, or a role tag such as the filter
+    build's subset stream) is absorbed into a 64-bit base with keyed blake2b.  The word
     for rejection attempt a < 256 of draw i < 2**56 is ``_splitmix64`` of
     that base at (i, a), so any word is addressable directly, and
     ``sample_field_elements`` reads the base alone.  Equal inputs always

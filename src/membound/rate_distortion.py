@@ -592,8 +592,11 @@ def _hull_chain(dK: np.ndarray, dN: np.ndarray) -> np.ndarray:
 
     Of equal pairs the lowest index is kept.  Collinear points are dropped:
     the orientation test is exact, on the penalties scaled to integers.
+    With no finite pair the chain is empty.
     """
     finite = np.nonzero(np.isfinite(dK) & np.isfinite(dN))[0]
+    if finite.size == 0:
+        return finite
     order = finite[np.lexsort((finite, dN[finite], dK[finite]))]
     # Pareto staircase: each kept pair has dN below every pair before it.
     sN = dN[order]

@@ -1,11 +1,12 @@
 """Shared test helpers: random distribution pairs and a mutual-information
 reference implementation, used to cross-check the f_p functional; a
 plain-int reference of the keyed word stream and its rejection sampling,
-used to check the library's hashing without calling it, and of the
-two-sided GF(2) candidate scan; a spy on the GF(q) elimination's panel
-searches; an exact scan over pairs of penalty pairs, used to check the
-solver's rate-0 test; and an enumeration of every tiny tester, used to
-check the exact tiny-tester frontier."""
+used to check the library's hashing without calling it, and an
+exhaustive search over the vectors a two-sided filter may store; a spy
+on the GF(q) elimination's panel searches; an exact scan over pairs of
+penalty pairs, used to check the solver's rate-0 test; and an
+enumeration of every tiny tester, used to check the exact tiny-tester
+frontier."""
 
 from __future__ import annotations
 
@@ -122,38 +123,15 @@ def reference_dot(x, y, q: int) -> int:
     return sum(int(a) * int(b) for a, b in zip(x, y)) % q
 
 
-def reference_scan(
-    seed: int, keys: list[bytes], m: int, threshold: int, budget: int
-) -> tuple[list[int] | None, int, int]:
-    """The two-sided GF(2) candidate scan, in plain ints.
-
-    Candidate i is draws i*m .. i*m + m - 1 of the stream labelled b"C";
-    zero candidates are skipped and not counted as tried.  Of the first
-    ``budget`` nonzero candidates, the lowest-index one whose dot product
-    with at least ``threshold`` key rows is even wins.  Returns the winner
-    (None when the budget runs out), its satisfied-key count (else the best
-    count seen) and the candidates tried.  Rows and candidates are held as
-    bit masks, so a dot product over GF(2) is the parity of an AND.
-    """
-
-    def mask(bits: list[int]) -> int:
-        return sum(bit << j for j, bit in enumerate(bits))
-
-    rows = [mask(reference_row(seed, key, 2, m)) for key in keys]
-    word = functools.partial(reference_word, seed, b"C")
-    tried = best = 0
-    for i in itertools.count():
-        if tried == budget:
-            return None, best, tried
-        y = [reference_element(word, 2, i * m + j) for j in range(m)]
-        if not any(y):
-            continue
-        tried += 1
-        y_mask = mask(y)
-        satisfied = sum(1 for row in rows if not (row & y_mask).bit_count() & 1)
-        if satisfied >= threshold:
-            return y, satisfied, tried
-        best = max(best, satisfied)
+def reference_best(seed: int, keys: list[bytes], q: int, m: int) -> int:
+    """The most keys any nonzero vector of GF(q)^m satisfies, by trying
+    all q**m - 1 of them against the keys' ``reference_row``s in plain ints."""
+    rows = [reference_row(seed, key, q, m) for key in keys]
+    return max(
+        sum(reference_dot(row, y, q) == 0 for row in rows)
+        for y in itertools.product(range(q), repeat=m)
+        if any(y)
+    )
 
 
 def zero_rate_feasible(dK, dN, eps_K, eps_N) -> bool:

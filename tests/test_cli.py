@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from membound import ErrorMetric, cli, deserialize, solve_rp
+from membound import filter as filter_mod
 
 FRONTIER_CSV_HEADER = "p,eps_K,eps_N,rate_bits_per_key,dual_K,dual_N,converged"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -452,6 +453,20 @@ class TestFilterLifecycle:
         assert report["fnr_hat"] == "0"
         assert report["target_fpr"] == "0.5"
         assert report["trials"] == "1000"
+
+    def test_two_sided_failure_is_domain_error(self, capsys, keys_file, tmp_path, monkeypatch):
+        # With one seeded subset allowed, 88 of the 90 keys needed is the best.
+        monkeypatch.setattr(filter_mod, "_MAX_ATTEMPTS", 1)
+        blob = tmp_path / "f.bin"
+        rc, out, err = run(
+            capsys, "filter", "build", "--keys", str(keys_file), "--eps-k", "0.1",
+            "--eps-n", "0.5", "--seed", "0", "--out", str(blob),
+        )
+        assert (rc, out) == (1, "")
+        doc = json.loads(err)
+        assert doc["error"] == "domain"
+        assert doc["message"] == "no vector found in 2 attempts: the best satisfied 88 keys of 90 needed"
+        assert not blob.exists()
 
     def test_missing_keys_file_is_io_error(self, capsys, tmp_path):
         rc, _, err = run(

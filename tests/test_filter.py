@@ -6,6 +6,7 @@ import hashlib
 import importlib.util
 import itertools
 import math
+import random
 import time
 import tracemalloc
 from fractions import Fraction
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import reference_dot, reference_row, reference_scan, spy_gauss_jordan
+from conftest import reference_best, reference_dot, reference_row, spy_gauss_jordan
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -66,7 +67,6 @@ class TestDeriveParams:
         assert params.t_n == pytest.approx(100.0, rel=1e-12)
         assert params.eps_K == Fraction(0)
         assert params.eps_N == 0.5
-        assert params.search_budget == 10**7
         assert params.threshold == 1000
         assert params.bits_payload == 1100
         assert params.payload_bytes == 138
@@ -76,7 +76,6 @@ class TestDeriveParams:
         assert params.m == 8
         assert params.t_n == 12.0 ** (2.0 / 3.0)
         assert params.threshold == 9
-        assert params.search_budget == 255  # 2**8 - 1 < 10**7
         assert params.bits_payload == 8
         assert params.payload_bytes == 1
 
@@ -145,16 +144,9 @@ class TestFilterParams:
             with pytest.raises(TypeError):
                 dataclasses.replace(params, eps_N=0.25)
 
-    def test_fields_are_the_header_values_and_the_budget(self):
+    def test_fields_are_the_header_values(self):
         names = [f.name for f in dataclasses.fields(FilterParams)]
         assert names == ["n", "eps_K", "q", "m", "seed"]
-        # The budget is derived from q and m and cannot be set.
-        params = derive_params(12, 0.25, 0.5, 0)
-        assert params.search_budget == 2**params.m - 1
-        with pytest.raises(TypeError):
-            dataclasses.replace(params, search_budget=1)
-        wide = derive_params(100, 0, 1.0 / 4294967291, 0)
-        assert wide.search_budget == 10**7
 
     def test_composite_modulus_rejected(self):
         with pytest.raises(DomainError):
@@ -275,8 +267,8 @@ class TestBuild:
         assert state.y.coords == (1, 0, 0, 0)
 
     def test_degenerate_empty_two_sided_build(self):
-        # No keys and eps_K > 0: the kernel path runs, and the kernel of no
-        # rows is the first standard basis vector; no candidate is drawn.
+        # No keys and eps_K > 0: attempt 0 forces no rows, whose kernel
+        # vector is the first standard basis vector; no subset is drawn.
         params = FilterParams(n=0, eps_K=Fraction(1, 4), q=2, m=4, seed=0)
         state, report = build(params, [])
         assert report == F.BuildReport(0, 0, 4, True)
@@ -284,44 +276,50 @@ class TestBuild:
         assert serialize(state) == _HEADER.pack(b"MF", 1, 2, 4, 0, 1, 4, 0) + b"\x01"
         assert deserialize(serialize(state)) == state
 
-    def test_two_sided_first_candidate_win(self):
+    def test_two_sided_first_keys_win(self):
+        # m = 8, so attempt 0 forces the first 7 keys in byte order; their
+        # kernel vector satisfies 11 keys, where 9 are needed.
         params = derive_params(12, Fraction(1, 4), 0.5, 7)
         state, report = build(params, KEYS12)
-        assert report.success
-        assert report.satisfied_keys == 11
-        assert report.candidates_tried == 1
+        assert report == F.BuildReport(11, 0, 8, True)
         assert state.y.coords == (0, 1, 0, 0, 0, 0, 0, 0)
+        forced = [reference_row(7, key, 2, 8) for key in sorted(KEYS12)[:7]]
+        assert all(reference_dot(row, state.y.coords, 2) == 0 for row in forced)
 
     def test_two_sided_meets_threshold(self, built_12_seed0):
         params, state, report = built_12_seed0
         assert report.success
         assert report.satisfied_keys >= params.threshold
         assert report.satisfied_keys == 9
-        assert report.candidates_tried == 2
+        assert report.candidates_tried == 0
         # The report's count and live queries must agree.
         assert int(query_many(state, KEYS12).sum()) == report.satisfied_keys
 
-    def test_two_sided_deterministic_and_budget_independent(
-        self, built_12_seed0, monkeypatch
-    ):
-        params, state, report = built_12_seed0
-        again, _ = build(params, KEYS12)
-        assert again == state
-        assert serialize(again) == serialize(state)
-        # A budget of exactly the winner's index finds the same vector.
-        monkeypatch.setattr(F, "_MAX_SEARCH_BUDGET", report.candidates_tried)
-        assert params.search_budget == 2
-        narrowed, _ = build(params, KEYS12)
-        assert narrowed.y == state.y
-
-    def test_budget_exhaustion_reports_failure(self, monkeypatch):
-        params = derive_params(12, Fraction(1, 4), 0.5, 0)
-        monkeypatch.setattr(F, "_MAX_SEARCH_BUDGET", 1)
+    def test_two_sided_deterministic_and_order_independent(self):
+        params = derive_params(12, Fraction(1, 4), 0.5, 8)  # wins on the second seeded subset
         state, report = build(params, KEYS12)
-        assert state is None
-        assert not report.success
-        assert report.candidates_tried == 1
-        assert report.satisfied_keys == 6  # best candidate seen, below 9
+        assert report == F.BuildReport(11, 2, 8, True)
+        blob = serialize(state)
+        rng = np.random.default_rng(8)
+        for _ in range(5):
+            shuffled = [KEYS12[i] for i in rng.permutation(12)]
+            again, again_report = build(params, shuffled)
+            assert again_report == report and serialize(again) == blob
+
+    def test_attempt_cap_exhaustion_reports_failure(self, monkeypatch):
+        params = derive_params(12, Fraction(1, 4), 0.5, 8)
+        bests = []
+        for cap in (0, 1):
+            monkeypatch.setattr(F, "_MAX_ATTEMPTS", cap)
+            state, report = build(params, KEYS12)
+            assert state is None and not report.success
+            assert report.candidates_tried == cap
+            bests.append(report.satisfied_keys)
+        # The best count seen, below the 9 keys needed, never falls.
+        assert bests[0] <= bests[1] < params.threshold
+        monkeypatch.setattr(F, "_MAX_ATTEMPTS", 2)  # exactly the winner's subset
+        state, report = build(params, KEYS12)
+        assert report == F.BuildReport(11, 2, 8, True)
 
 
 def _perfbench_keys(n):
@@ -331,153 +329,128 @@ def _perfbench_keys(n):
     ]
 
 
-class TestTwoSidedScanAgainstReference:
-    """The GF(2) two-sided scan, which counts satisfied keys by table lookup
-    on packed candidate bytes, against ``reference_scan`` in plain ints."""
+_TINY_EPS = [Fraction(1, d) for d in (8, 6, 5, 4, 3)] + [
+    Fraction(2, 5), Fraction(1, 2), Fraction(3, 5)
+]
+_TINY_MAX_M = {2: 10, 3: 6}
+_TINY_CASES = 32
 
-    @staticmethod
-    def _check(monkeypatch, n, eps_K, m, seed, budget, tag=b"scan"):
-        monkeypatch.setattr(F, "_MAX_SEARCH_BUDGET", budget)
-        params = derive_params(n, eps_K, 0.5, seed)
-        assert params.m == m
-        keys = [tag + b"-%d" % i for i in range(n)]
+
+@functools.cache
+def _tiny_sizes(q):
+    """(n, eps_K) pairs with m small enough to enumerate GF(q)^m whose
+    threshold exceeds m - 1, so forcing the first keys cannot decide them."""
+    sizes = []
+    for n, eps_K in itertools.product(range(2, 30), _TINY_EPS):
+        if eps_K + Fraction(1, q) < 1:
+            params = derive_params(n, eps_K, 1.0 / q, 0)
+            if params.m <= _TINY_MAX_M[q] and params.threshold > params.m - 1:
+                sizes.append((n, eps_K))
+    return sizes
+
+
+@functools.cache
+def _tiny_instance(q, case):
+    """A seeded tiny two-sided instance and the exhaustive best count."""
+    rng = random.Random(1000 * q + case)
+    n, eps_K = rng.choice(_tiny_sizes(q))
+    params = derive_params(n, eps_K, 1.0 / q, rng.getrandbits(64))
+    keys = [b"tiny-%d-%d" % (case, j) for j in range(n)]
+    return params, keys, reference_best(params.seed, keys, q, params.m)
+
+
+class TestTwoSidedBuild:
+    """Two-sided builds force seeded subsets of key rows to zero.  They are
+    checked against an exhaustive search and plain-int hash rows."""
+
+    @pytest.mark.parametrize("case", range(_TINY_CASES))
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_complete_on_tiny_instances(self, q, case):
+        # The build succeeds exactly when some nonzero vector of GF(q)^m
+        # satisfies the threshold, and its vector is checked in plain ints.
+        params, keys, best = _tiny_instance(q, case)
         state, report = build(params, keys)
-        y, satisfied, tried = reference_scan(
-            seed, keys, m, params.threshold, params.search_budget
-        )
-        assert report == F.BuildReport(satisfied, tried, m, y is not None)
-        assert (None if state is None else list(state.y.coords)) == y
-        return report
+        assert report.success == (best >= params.threshold)
+        assert report.satisfied_keys <= best
+        if state is None:
+            assert report.candidates_tried == F._MAX_ATTEMPTS
+            return
+        rows = [reference_row(params.seed, key, q, params.m) for key in keys]
+        satisfied = sum(reference_dot(row, state.y.coords, q) == 0 for row in rows)
+        assert satisfied == report.satisfied_keys >= params.threshold
 
-    # m = 2..9; every key set fits one 64-bit word of key masks.  A budget
-    # of _BATCH leaves the scan its full search budget, 2**m - 1 <= 511.
-    @pytest.mark.parametrize("budget", [1, 7, _BATCH])
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_tiny_instances_cover_both_outcomes(self, q):
+        outcomes = [
+            best >= params.threshold
+            for params, _, best in map(functools.partial(_tiny_instance, q), range(_TINY_CASES))
+        ]
+        assert 0 < outcomes.count(False) < outcomes.count(True)
+
+    # m > n, so attempt 0 forces every key.  n=30 failed after 10**7
+    # random candidates (28 of the 29 keys needed).
+    @pytest.mark.parametrize("n,m,threshold", [(30, 34, 29), (60, 63, 58)])
+    def test_keys_below_m_succeed_at_once(self, n, m, threshold):
+        params = derive_params(n, Fraction(1, 30), 0.5, 1)
+        keys = _perfbench_keys(n)
+        state, report = build(params, keys)
+        assert (params.m, params.threshold) == (m, threshold)
+        assert report == F.BuildReport(n, 0, m, True)
+        rows = [reference_row(1, key, 2, m) for key in keys]
+        assert all(reference_dot(row, state.y.coords, 2) == 0 for row in rows)
+
+    def test_gfq_seeded_subsets(self):
+        # q=3, m=34 and 36 of 40 keys needed: attempt 0 forces only 33.
+        params = derive_params(40, Fraction(1, 10), 1.0 / 3, 1)
+        keys = _perfbench_keys(40)
+        state, report = build(params, keys)
+        assert (params.m, params.threshold) == (34, 36) and report.success
+        rows = [reference_row(1, key, 3, 34) for key in keys]
+        satisfied = sum(reference_dot(row, state.y.coords, 3) == 0 for row in rows)
+        assert satisfied == report.satisfied_keys >= 36
+
+    # Reports and blob digests of perfbench's five two-sided builds.  At
+    # n = 12 every key is forced; the others need m - 1 < n forced keys.
     @pytest.mark.parametrize(
-        "n,eps_K,m",
+        "n,eps_K,satisfied,digest",
         [
-            (1, Fraction(1, 4), 2),
-            (2, Fraction(1, 4), 2),
-            (3, Fraction(3, 16), 3),
-            (4, Fraction(1, 5), 4),
-            (5, Fraction(1, 5), 5),
-            (8, Fraction(1, 4), 6),
-            (9, Fraction(1, 4), 7),
-            (10, Fraction(1, 5), 8),
-            (12, Fraction(1, 5), 9),
+            (12, Fraction(1, 12), 12, "710547ca551c31e26bcf97a2f57acf7be554f3a2582fd779b7048dbe71a33b6f"),
+            (16, Fraction(2, 16), 14, "81d8f2a4fa58a188288820726b5e72738d83ee8d88d03e2d4f8d907964922f49"),
+            (20, Fraction(2, 20), 19, "7c4eb17dae585edaceb348011ffeb943536947cf1db2450eb3c97005d24c3663"),
+            (24, Fraction(2, 24), 24, "55ce4b12687fe4d30da1469d2f7548ddf3cc30b0fdeb6ccb06d0054cb61eccdc"),
+            (28, Fraction(2, 28), 27, "f163506544084aaf10ac4d039f06ca37e995d929c9493ca99e18cfffd12f4736"),
         ],
     )
-    def test_small_m(self, n, eps_K, m, budget, monkeypatch):
-        self._check(monkeypatch, n, eps_K, m, n, budget)
-
-    # m = 63..65 with key masks of one, two and three words.  Each threshold
-    # is out of reach, so every scan fails and the best count must match.
-    @pytest.mark.parametrize("budget", [1, 7, _BATCH + 1])
-    @pytest.mark.parametrize(
-        "n,eps_K,m",
-        [
-            (57, Fraction(1, 40), 63),
-            (64, Fraction(1, 21), 63),
-            (65, Fraction(1, 22), 64),
-            (100, Fraction(7, 50), 64),
-            (128, Fraction(3, 16), 65),
-            (129, Fraction(9, 46), 63),
-        ],
-    )
-    def test_word_boundaries(self, n, eps_K, m, budget, monkeypatch):
-        report = self._check(monkeypatch, n, eps_K, m, n, budget)
-        assert not report.success and report.candidates_tried == budget
-
-    @pytest.mark.parametrize("budget", [1, 7])
-    @pytest.mark.parametrize(
-        "n,eps_K,m",
-        [(124, Fraction(1, 39), 128), (129, Fraction(1, 32), 129), (130, Fraction(1, 32), 130)],
-    )
-    def test_wide_candidates(self, n, eps_K, m, budget, monkeypatch):
-        report = self._check(monkeypatch, n, eps_K, m, n, budget)
-        assert not report.success and report.candidates_tried == budget
-
-    def test_wide_candidates_across_a_batch(self, monkeypatch):
-        report = self._check(monkeypatch, 130, Fraction(1, 32), 130, 130, _BATCH + 1)
-        assert not report.success and report.candidates_tried == _BATCH + 1
-
-    # Seeds found by search: the first win is the last candidate of the first
-    # batch (20 keys) or the first of the second (24 keys).
-    @pytest.mark.parametrize("budget", [_BATCH, _BATCH + 1])
-    @pytest.mark.parametrize(
-        "n,eps_K,m,seed,win",
-        [(20, Fraction(1, 10), 18, 2898, _BATCH), (24, Fraction(1, 8), 20, 5124, _BATCH + 1)],
-    )
-    def test_wins_at_the_batch_boundary(self, n, eps_K, m, seed, win, budget, monkeypatch):
-        report = self._check(monkeypatch, n, eps_K, m, seed, budget, b"edge")
-        assert report.success == (win <= budget)
-        assert report.candidates_tried == min(win, budget)
-
-    def test_win_in_the_third_batch(self, monkeypatch):
-        report = self._check(monkeypatch, 20, Fraction(1, 10), 18, 9, 10**7)
-        assert report.success and report.candidates_tried == 9183
-
-    def test_zero_candidates_are_skipped(self, monkeypatch):
-        # With m = 2 a quarter of the candidates are zero; those a scan
-        # draws but does not try show up as draws beyond m * tried.
-        drawn = []
-        sample = F.sample_field_elements
-
-        def counted(stream, q, start, count, *rest):
-            if isinstance(stream, galois.WordStream):  # the candidate stream
-                drawn.append(count)
-            return sample(stream, q, start, count, *rest)
-
-        monkeypatch.setattr(F, "sample_field_elements", counted)
-        skipped = 0
-        for seed in range(20):
-            drawn.clear()
-            report = self._check(monkeypatch, 2, Fraction(1, 4), 2, seed, 7)
-            skipped += sum(drawn) // 2 - report.candidates_tried
-        assert skipped > 0
-
-    # Reports and blob digests of perfbench's five two-sided scans, taken at
-    # commit 846c86a, before the GF(2) scan counted keys by table lookup.
-    @pytest.mark.parametrize(
-        "n,eps_K,satisfied,tried,digest",
-        [
-            (12, Fraction(1, 12), 11, 40, "6b4644a396d13524f1ad23accb17d23b357937a21ff9fdb12a182d23afbfda5c"),
-            (16, Fraction(2, 16), 14, 1770, "20cf4abaa6ba120ce1fbbd751a4e59c659b7d6317105250f236cba4ec889e420"),
-            (20, Fraction(2, 20), 18, 3049, "4dedbd4d1a7e41fbd37b2953b1172c3572e5aad896937a56e7b2f9db5e047bba"),
-            (24, Fraction(2, 24), 23, 63276, "2e7bee515376d3b92efe93de2b4f78c48b09a8d6e45f60a733a8baf9bfef1977"),
-            (28, Fraction(2, 28), 26, 954781, "dd70452ed756ef06498341e9a8ab91a905a32ebc29ce8cf3e2a4c929b0bc47d5"),
-        ],
-    )
-    def test_perfbench_scans_pinned(self, n, eps_K, satisfied, tried, digest):
+    def test_perfbench_builds_pinned(self, n, eps_K, satisfied, digest):
         params = derive_params(n, eps_K, 0.5, 1)
         state, report = build(params, _perfbench_keys(n))
-        assert report == F.BuildReport(satisfied, tried, params.m, True)
+        assert report == F.BuildReport(satisfied, 0, params.m, True)
         assert hashlib.sha256(serialize(state)).hexdigest() == digest
 
-    def test_no_float_product(self, monkeypatch):
+    def test_gf2_needs_no_float_product(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("matmul_mod called by a GF(2) scan")
+            raise AssertionError("matmul_mod called by a GF(2) build")
 
         monkeypatch.setattr(F, "matmul_mod", refuse)
-        params = derive_params(20, Fraction(2, 20), 0.5, 1)
-        _, report = build(params, _perfbench_keys(20))
-        assert report == F.BuildReport(18, 3049, 18, True)
+        params = derive_params(100, Fraction(1, 10), 0.5, 1)
+        _, report = build(params, [b"isd-%d" % i for i in range(100)])
+        assert report.success and report.satisfied_keys >= 90
 
-    def test_wide_scan_memory(self, monkeypatch):
-        # 1000 keys, m = 814, two batches of candidates.  Traced peaks:
-        # 125.9 MB at commit 846c86a (float64 copies of the key rows, the
-        # candidates and their product) and 84.1 MB with the table count
-        # (the candidate draws of two batches; the tables take 3.3 MB).
-        monkeypatch.setattr(F, "_MAX_SEARCH_BUDGET", 2 * _BATCH)
-        params = derive_params(1000, Fraction(1, 20), 0.5, 7)
-        keys = [b"big-%d" % i for i in range(1000)]
+    def test_gf2_seeded_subsets_hold_packed_rows(self, monkeypatch):
+        # Every attempt eliminates a packed copy of m - 1 rows; the peak is
+        # under an eighth of the int64 rows' n*m*8 bytes.
+        monkeypatch.setattr(F, "_MAX_ATTEMPTS", 2)
+        params = derive_params(2000, Fraction(1, 20), 0.5, 7)
+        keys = [b"big-%d" % i for i in range(2000)]
         tracemalloc.start()
         try:
             state, report = build(params, keys)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert state is None and report == F.BuildReport(556, 2 * _BATCH, 814, False)
-        assert peak < 100e6
+        assert state is None and report.candidates_tried == 2
+        assert report.satisfied_keys < params.threshold
+        assert peak < params.n * params.m
 
 
 class TestQuery:
@@ -690,6 +663,27 @@ class TestSerialization:
             padded = blob[:-1] + bytes([blob[-1] | 1 << (bit % 8)])
             with pytest.raises(FileFormatError, match="capacity"):
                 deserialize(padded)
+
+    # g = 31, 21, 9 and 1 digits per word: m on either side of word boundaries.
+    @pytest.mark.parametrize(
+        "q,m",
+        [(3, 30), (3, 31), (3, 63), (3, 4159), (5, 21), (5, 43), (127, 8), (127, 9),
+         (127, 10), (127, 4037), (4294967291, 1), (4294967291, 81)],
+    )
+    def test_payload_is_the_base_q_value(self, q, m):
+        params = FilterParams(n=0, eps_K=0, q=q, m=m, seed=0)
+        coords = np.random.default_rng(m).integers(0, q, size=m)
+        coords[-1] = q - 1
+        state = FilterState(params, galois.FieldVector(q, coords))
+        value = 0
+        for c in reversed(coords.tolist()):
+            value = value * q + c
+        blob = serialize(state)
+        assert blob == blob[: _HEADER.size] + value.to_bytes(params.payload_bytes, "little")
+        assert deserialize(blob) == state
+        if q**m < 1 << (8 * params.payload_bytes):
+            with pytest.raises(FileFormatError, match="capacity"):
+                deserialize(blob[: _HEADER.size] + (q**m).to_bytes(params.payload_bytes, "little"))
 
     def test_header_fields(self, built_12_seed0):
         params, state, _ = built_12_seed0

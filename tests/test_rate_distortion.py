@@ -705,6 +705,16 @@ class TestCandidateSet:
             chain = rate_distortion._hull_chain(dK, dN)
             assert chain.tolist() == _chain_oracle(dK, dN), (dK, dN)
 
+    def test_no_finite_pair_gives_an_empty_chain(self):
+        # Each location is infinite on one side, so no law meets a budget.
+        dK = np.array([0.0, math.inf, 0.5, math.inf])
+        dN = np.array([math.inf, 0.0, math.inf, math.inf])
+        chain = rate_distortion._hull_chain(dK, dN)
+        assert chain.size == 0 and chain.dtype.kind == "i"
+        grid = np.linspace(0.0, 1.0, dK.size)
+        assert rate_distortion._zero_rate_solution(grid, dK, dN, 1.0, 1.0, chain) is None
+        assert rate_distortion._candidates(dK, dN, chain).tolist() == [0, 1, 2, 3]
+
     def test_chain_sizes(self):
         # 1 - x rounds, so a few binary pairs fall strictly below the line
         # d_K + d_N = 1; the log-loss and mixed curves are strictly convex.
