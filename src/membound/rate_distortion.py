@@ -327,7 +327,11 @@ def memory_lower_bound(n: int, fp_value: float) -> float:
 # {(wK(x), wN(x))}: either a hull vertex or an interior point of a hull
 # edge, where the optimum is available in closed form.  This is the exact
 # fixed point of the alternating row/mixture minimization, computed without
-# iterating; the optimal rows follow as muK = r*wK/a, muN = r*wN/b.
+# iterating; the optimal rows follow as muK = r*wK/a, muN = r*wN/b.  Past
+# the tilt weights and one sort, this per-lambda work runs on Python lists,
+# because on the 4 binary candidates numpy's fixed cost per call outweighs
+# the arithmetic; the vertex values keep np.log, which math.log does not
+# match in the last ulp on every input, so near-ties break as before.
 #
 # The score grid is _GRID_POINTS uniform locations (plus the closed-form
 # log-loss atoms and any tabulated locations).  Only two kinds of location
@@ -375,15 +379,12 @@ def _tilt_weights(d: np.ndarray, lam: float) -> np.ndarray:
     if lam == 0.0:
         return np.ones_like(d)
     with np.errstate(under="ignore"):
-        return np.exp2(np.where(np.isinf(d), -np.inf, -lam * d))
+        return np.exp2(-lam * d)
 
 
-def _mean_penalty(masses: np.ndarray, d: np.ndarray) -> float:
+def _mean_penalty(masses: Sequence[float], d: Sequence[float]) -> float:
     """E[d] under the given masses, with exact-zero masses ignored."""
-    carrier = masses > 0.0
-    if np.any(carrier & np.isinf(d)):
-        return math.inf
-    return math.fsum((masses[carrier] * d[carrier]).tolist())
+    return math.fsum(m * x for m, x in zip(masses, d) if m > 0.0)
 
 
 def _inner_solve(
@@ -392,25 +393,25 @@ def _inner_solve(
     """Exact Lagrangian minimizer at fixed duals (see block comment above)."""
     wK = _tilt_weights(dK, lamK)
     wN = _tilt_weights(dN, lamN * p / (1.0 - p))
-    n = wK.size
-    # Collapse duplicate (wK, wN) statistics; the representative with the
-    # smallest total penalty makes the at-lambda-zero probes report the most
-    # favorable achievable expectation for the dropped constraint.
-    dsum = dK + dN
-    order = np.lexsort((np.arange(n), dsum, wN, wK))
-    sa, sb = wK[order], wN[order]
-    new_group = np.concatenate(([True], (np.diff(sa) != 0) | (np.diff(sb) != 0)))
-    reps = order[new_group]
-    reps = reps[(wK[reps] > 0.0) | (wN[reps] > 0.0)]
-    # Pareto-maximal representatives: scanning by a descending (b descending
-    # among ties), keep each point whose b beats every point before it.
-    o2 = np.lexsort((-wN[reps], -wK[reps]))
-    running = np.maximum.accumulate(wN[reps[o2]])
-    stair = reps[o2[np.concatenate(([True], running[1:] > running[:-1]))]][::-1]
+    order = np.lexsort((np.arange(wK.size), dK + dN, wN, wK)).tolist()
+    aw, bw = wK.tolist(), wN.tolist()
+    # Pareto-maximal points, scanning by a descending (b descending among
+    # ties): keep each point whose b beats every point before it.  A
+    # duplicate of the kept point replaces it, so of equal (wK, wN) the one
+    # with the smallest total penalty stays; that makes the at-lambda-zero
+    # probes report the most favorable achievable expectation for the
+    # dropped constraint.
+    stair: list[int] = []
+    top = -math.inf
+    for i in reversed(order):
+        if bw[i] > top:
+            stair.append(i)
+            top = bw[i]
+        elif bw[i] == top and aw[i] == aw[stair[-1]]:
+            stair[-1] = i
     # Upper hull (Andrew monotone chain on the staircase, a ascending).
-    pts = zip(wK[stair].tolist(), wN[stair].tolist(), stair.tolist())
     hull: list[tuple[float, float, int]] = []
-    for pt in pts:
+    for pt in [(aw[i], bw[i], i) for i in reversed(stair)]:
         while len(hull) >= 2:
             (a1, b1, _), (a2, b2, _) = hull[-2], hull[-1]
             if (a2 - a1) * (pt[1] - b1) - (b2 - b1) * (pt[0] - a1) >= 0.0:
@@ -437,19 +438,17 @@ def _inner_solve(
         if phi > best_phi:
             best_phi, v, t = phi, e, te
     if t is None:
-        idx = np.array([hull[v][2]])
-        r = np.array([1.0])
+        idx, r = [hull[v][2]], [1.0]
         a, b = ha[v], hb[v]
     else:
-        idx = np.array([hull[v][2], hull[v + 1][2]])
-        r = np.array([1.0 - t, t])
+        idx, r = [hull[v][2], hull[v + 1][2]], [1.0 - t, t]
         a = (1.0 - t) * ha[v] + t * ha[v + 1]
         b = (1.0 - t) * hb[v] + t * hb[v + 1]
-    muK = r * wK[idx] / a if a > 0.0 else np.zeros_like(r)
-    muN = r * wN[idx] / b if b > 0.0 else np.zeros_like(r)
-    return _InnerSolution(
-        idx, muK, muN, _mean_penalty(muK, dK[idx]), _mean_penalty(muN, dN[idx])
-    )
+    muK = [ri * aw[i] / a if a > 0.0 else 0.0 for ri, i in zip(r, idx)]
+    muN = [ri * bw[i] / b if b > 0.0 else 0.0 for ri, i in zip(r, idx)]
+    E_K = _mean_penalty(muK, [dK[i] for i in idx])
+    E_N = _mean_penalty(muN, [dN[i] for i in idx])
+    return _InnerSolution(np.array(idx), np.array(muK), np.array(muN), E_K, E_N)
 
 
 def _mix_solutions(
@@ -652,8 +651,12 @@ def _zero_rate_solution(
     if t_N > t_K:
         return None
     t = 0.5 * (t_N + t_K)
-    out[v], out[w] = 1.0 - t, t
-    if _mean_penalty(out, dK) <= eps_K and _mean_penalty(out, dN) <= eps_N:
+    mass = (1.0 - t, t)
+    out[v], out[w] = mass
+    if (
+        _mean_penalty(mass, (dK[v], dK[w])) <= eps_K
+        and _mean_penalty(mass, (dN[v], dN[w])) <= eps_N
+    ):
         return out
     return None
 

@@ -4,9 +4,10 @@ plain-int reference of the keyed word stream and its rejection sampling,
 used to check the library's hashing without calling it, and an
 exhaustive search over the vectors a two-sided filter may store; a spy
 on the GF(q) elimination's panel searches; an exact scan over pairs of
-penalty pairs, used to check the solver's rate-0 test; and an
-enumeration of every tiny tester, used to check the exact tiny-tester
-frontier."""
+penalty pairs, used to check the solver's rate-0 test; the solver's
+inner Lagrangian step in whole-array numpy, used as the reference for the
+list-based one; and an enumeration of every tiny tester, used to check the
+exact tiny-tester frontier."""
 
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ import numpy as np
 from hypothesis import HealthCheck, settings
 
 from membound import galois
+from membound.rate_distortion import _InnerSolution
 from membound.bruteforce import ParetoPoint, TinyTesterSpec
 from membound.measures import DiscreteDistribution
 
@@ -157,6 +159,94 @@ def zero_rate_feasible(dK, dN, eps_K, eps_N) -> bool:
     kx, ky = x[x <= eK, None], y[x <= eK, None]
     nx, ny = x[y <= eN], y[y <= eN]
     return bool(np.any((ky - eN) * (nx - kx) <= (eK - kx) * (ky - ny)))
+
+
+def _reference_tilt(d: np.ndarray, lam: float) -> np.ndarray:
+    """2^(-lam * d) with the lam = 0 convention 1 everywhere (even d = inf)."""
+    if lam == 0.0:
+        return np.ones_like(d)
+    with np.errstate(under="ignore"):
+        return np.exp2(np.where(np.isinf(d), -np.inf, -lam * d))
+
+
+def _reference_mean_penalty(masses: np.ndarray, d: np.ndarray) -> float:
+    """E[d] under the given masses, with exact-zero masses ignored."""
+    carrier = masses > 0.0
+    if np.any(carrier & np.isinf(d)):
+        return math.inf
+    return math.fsum((masses[carrier] * d[carrier]).tolist())
+
+
+def reference_inner_solve(
+    p: float, dK: np.ndarray, dN: np.ndarray, lamK: float, lamN: float
+) -> _InnerSolution:
+    """The solver's exact Lagrangian minimizer at fixed duals, on whole numpy
+    arrays: duplicate collapse, Pareto staircase, upper hull and edge scan.
+    Raises IndexError when every (wK, wN) pair is (0, 0)."""
+    wK = _reference_tilt(dK, lamK)
+    wN = _reference_tilt(dN, lamN * p / (1.0 - p))
+    n = wK.size
+    # Collapse duplicate (wK, wN) statistics; the representative with the
+    # smallest total penalty makes the at-lambda-zero probes report the most
+    # favorable achievable expectation for the dropped constraint.
+    dsum = dK + dN
+    order = np.lexsort((np.arange(n), dsum, wN, wK))
+    sa, sb = wK[order], wN[order]
+    new_group = np.concatenate(([True], (np.diff(sa) != 0) | (np.diff(sb) != 0)))
+    reps = order[new_group]
+    reps = reps[(wK[reps] > 0.0) | (wN[reps] > 0.0)]
+    # Pareto-maximal representatives: scanning by a descending (b descending
+    # among ties), keep each point whose b beats every point before it.
+    o2 = np.lexsort((-wN[reps], -wK[reps]))
+    running = np.maximum.accumulate(wN[reps[o2]])
+    stair = reps[o2[np.concatenate(([True], running[1:] > running[:-1]))]][::-1]
+    # Upper hull (Andrew monotone chain on the staircase, a ascending).
+    pts = zip(wK[stair].tolist(), wN[stair].tolist(), stair.tolist())
+    hull: list[tuple[float, float, int]] = []
+    for pt in pts:
+        while len(hull) >= 2:
+            (a1, b1, _), (a2, b2, _) = hull[-2], hull[-1]
+            if (a2 - a1) * (pt[1] - b1) - (b2 - b1) * (pt[0] - a1) >= 0.0:
+                hull.pop()
+            else:
+                break
+        hull.append(pt)
+    ha = [h[0] for h in hull]
+    hb = [h[1] for h in hull]
+    with np.errstate(divide="ignore"):
+        phi_v = p * np.log(ha) + (1.0 - p) * np.log(hb)
+    v = int(np.argmax(phi_v))
+    best_phi, t = float(phi_v[v]), None
+    for e in range(len(hull) - 1):
+        aV, bV = ha[e], hb[e]
+        da, db = ha[e + 1] - aV, hb[e + 1] - bV
+        prod = da * db
+        if prod == 0.0:
+            continue
+        te = -(p * da * bV + (1.0 - p) * db * aV) / prod
+        if not (0.0 < te < 1.0):
+            continue
+        phi = p * math.log(aV + te * da) + (1.0 - p) * math.log(bV + te * db)
+        if phi > best_phi:
+            best_phi, v, t = phi, e, te
+    if t is None:
+        idx = np.array([hull[v][2]])
+        r = np.array([1.0])
+        a, b = ha[v], hb[v]
+    else:
+        idx = np.array([hull[v][2], hull[v + 1][2]])
+        r = np.array([1.0 - t, t])
+        a = (1.0 - t) * ha[v] + t * ha[v + 1]
+        b = (1.0 - t) * hb[v] + t * hb[v + 1]
+    muK = r * wK[idx] / a if a > 0.0 else np.zeros_like(r)
+    muN = r * wN[idx] / b if b > 0.0 else np.zeros_like(r)
+    return _InnerSolution(
+        idx,
+        muK,
+        muN,
+        _reference_mean_penalty(muK, dK[idx]),
+        _reference_mean_penalty(muN, dN[idx]),
+    )
 
 
 def spy_gauss_jordan(monkeypatch) -> list[int]:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import random_distribution, zero_rate_feasible
+from conftest import random_distribution, reference_inner_solve, zero_rate_feasible
 
 from membound import (
     DiscreteDistribution,
@@ -588,32 +588,57 @@ class TestExactFrontier:
             assert point.rate_bits_per_key <= _logloss_pair_price(p, eps_K, eps_N) + 1e-8
 
     def test_inner_solve_count(self, cli_sweep):
-        # A deterministic work bound for the dual search (not a timing).
+        # A deterministic work bound for the dual search (not a timing), and
+        # the exact total, so that a change to the inner solve cannot
+        # silently change which duals the search visits.
         for point, calls in cli_sweep:
             assert calls <= 300, (point.p, calls)
+        assert sum(calls for _, calls in cli_sweep) == 2381
 
 
 class TestInnerSolve:
     def test_matches_brute_force_over_vertices_and_edges(self):
         # The maximum of phi(a, b) = p ln a + (1-p) ln b over the convex hull
         # of the points (wK, wN) is at a point or on a segment between two.
+        # Small random sets, then the real candidate sets of the log-loss
+        # and mixed metric pairs (about 200 locations each).
         rng = np.random.default_rng(2024)
+        cases = []
         for case in range(30):
             n = int(rng.integers(1, 9))
             dK, dN = rng.uniform(0.0, 2.0, n), rng.uniform(0.0, 2.0, n)
             if case % 3 == 0:  # coarse values give duplicate points and ties
                 dK, dN = np.round(dK, 0), np.round(dN, 0)
             p = float(rng.uniform(0.05, 0.95))
-            lamK, lamN = (float(v) for v in rng.uniform(0.1, 4.0, 2))
+            cases.append((p, dK, dN, *(float(v) for v in rng.uniform(0.1, 4.0, 2))))
+        for metric_K, metric_N in _metric_pairs(rng)[1:4]:
+            _, dK, dN = _penalties(metric_K, metric_N, 0.05)
+            keep = rate_distortion._candidates(dK, dN, rate_distortion._hull_chain(dK, dN))
+            assert keep.size > 190
+            for p, lamK, lamN in ((0.01, 3.0, 2.0), (0.2, 0.05, 40.0), (0.6, 1e-3, 1e-3)):
+                cases.append((p, dK[keep], dN[keep], lamK, lamN))
+        for p, dK, dN, lamK, lamN in cases:
+            n = dK.size
             sol = rate_distortion._inner_solve(p, dK, dN, lamK, lamN)
             wK = [2.0 ** (-lamK * d) for d in dK]
             wN = [2.0 ** (-(p / (1.0 - p)) * lamN * d) for d in dN]
-            # mu = r * w / a with sum(r) = 1 gives a = 1 / sum(mu / w).
-            a = 1.0 / math.fsum(m / wK[i] for i, m in zip(sol.idx, sol.mK))
-            b = 1.0 / math.fsum(m / wN[i] for i, m in zip(sol.idx, sol.mN))
 
             def phi(x, y):
+                if x == 0.0 or y == 0.0:
+                    return -math.inf
                 return p * math.log(x) + (1.0 - p) * math.log(y)
+
+            # At the optimum, max phi = -ln 2 * p * L with the Lagrangian
+            # L = f_p + lamK E_K + lamN E_N of the returned laws, in bits.
+            info = used = 0.0
+            for i, mK, mN in zip(sol.idx, sol.mK, sol.mN):
+                mix = p * mK + (1.0 - p) * mN
+                for weight, m in ((p, mK), (1.0 - p, mN)):
+                    if m > 0.0:
+                        info += weight * m * math.log(m / mix)
+                used += p * (lamK * mK * dK[i] if mK > 0.0 else 0.0)
+                used += p * (lamN * mN * dN[i] if mN > 0.0 else 0.0)
+            value = -(info + math.log(2.0) * used)
 
             best = max(phi(x, y) for x, y in zip(wK, wN))
             for i, j in itertools.combinations(range(n), 2):
@@ -624,7 +649,71 @@ class TestInnerSolve:
                 t = -(p * da * wN[i] + (1.0 - p) * db * wK[i]) / (da * db)
                 if 0.0 < t < 1.0:
                     best = max(best, phi(wK[i] + t * da, wN[i] + t * db))
-            assert phi(a, b) == pytest.approx(best, rel=1e-12, abs=1e-12)
+            assert value == pytest.approx(best, rel=1e-12, abs=1e-12), (p, n, lamK, lamN)
+
+    @staticmethod
+    def _assert_same(got, want, case):
+        assert got.idx.dtype == want.idx.dtype, case
+        assert got.idx.tolist() == want.idx.tolist(), case
+        assert got.mK.tolist() == want.mK.tolist(), case
+        assert got.mN.tolist() == want.mN.tolist(), case
+        assert (got.E_K, got.E_N) == (want.E_K, want.E_N), case
+
+    def test_matches_numpy_reference_bit_for_bit(self):
+        # Small random sets: coarse penalties repeat pairs and tie on the
+        # total penalty, infinite penalties sit on either side, and the
+        # duals include 0 and both ends of the dual search's range.
+        rng = np.random.default_rng(1972)
+        J, L = rate_distortion._JUMP_WIDTH, rate_distortion._LAMBDA_MAX
+        checked = degenerate = 0
+        for case in range(10600):
+            n = int(rng.integers(1, 15))
+            dK, dN = rng.uniform(0.0, 2.0, n), rng.uniform(0.0, 2.0, n)
+            if case % 3 == 0:
+                dK, dN = np.round(dK * 2.0) / 2.0, np.round(dN * 2.0) / 2.0
+            if case % 4 == 0:
+                dK[rng.random(n) < 0.3] = math.inf
+            if case % 5 == 0:
+                dN[rng.random(n) < 0.3] = math.inf
+            p = float(rng.uniform(0.001, 0.99))
+            lamK, lamN = (
+                float(rng.choice([0.0, J, 1e-9, L, math.exp(rng.uniform(-10.0, 10.0))]))
+                for _ in range(2)
+            )
+            if case % 9 == 0:
+                # Weights in {0, 1/4, 1/2, 1}: points fall exactly on lines,
+                # and the optimum can sit on a collinear vertex.
+                dK = rng.choice([0.0, 0.5, 1.0, math.inf], n)
+                dN = rng.choice([0.0, 0.25, 0.5, math.inf], n)
+                p, lamK, lamN = 0.5, 2.0, 4.0
+            wK = rate_distortion._tilt_weights(dK, lamK)
+            wN = rate_distortion._tilt_weights(dN, lamN * p / (1.0 - p))
+            if not np.any((wK > 0.0) | (wN > 0.0)):
+                # Every pair is (0, 0); solve_rp never gets here, because
+                # the anchor location has d_K = 0 and so w_K = 1.
+                with pytest.raises(IndexError):
+                    reference_inner_solve(p, dK, dN, lamK, lamN)
+                degenerate += 1
+                continue
+            got = rate_distortion._inner_solve(p, dK, dN, lamK, lamN)
+            want = reference_inner_solve(p, dK, dN, lamK, lamN)
+            self._assert_same(got, want, (dK, dN, p, lamK, lamN))
+            checked += 1
+        assert checked >= 10000 and degenerate > 0
+
+    def test_matches_numpy_reference_on_real_candidates(self):
+        rng = np.random.default_rng(17)
+        J, L = rate_distortion._JUMP_WIDTH, rate_distortion._LAMBDA_MAX
+        duals = [0.0, J, 1e-9, L] + [float(v) for v in np.exp(rng.uniform(-10.0, 10.0, 4))]
+        for metric_K, metric_N in _metric_pairs(rng):
+            _, dK, dN = _penalties(metric_K, metric_N, float(rng.uniform(0.01, 0.5)))
+            keep = rate_distortion._candidates(dK, dN, rate_distortion._hull_chain(dK, dN))
+            for lamK, lamN in itertools.product(duals, repeat=2):
+                p = float(rng.uniform(0.001, 0.9))
+                for sK, sN in ((dK, dN), (dK[keep], dN[keep])):
+                    got = rate_distortion._inner_solve(p, sK, sN, lamK, lamN)
+                    want = reference_inner_solve(p, sK, sN, lamK, lamN)
+                    self._assert_same(got, want, (metric_K, metric_N, p, lamK, lamN))
 
 
 def _penalties(metric_K, metric_N, eps_K):
