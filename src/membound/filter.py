@@ -38,6 +38,7 @@ from .galois import (
     FieldVector,
     WordStream,
     _eliminate_gf2,
+    _gf2_draw_sums,
     _pack_gf2,
     is_prime,
     matmul_mod,
@@ -254,18 +255,19 @@ def _require_bytes(elements: Sequence[bytes]) -> None:
             raise DomainError(f"element {element!r} must be a byte string")
 
 
-def _hash_rows(
-    params: FilterParams, elements: Sequence[bytes], columns: np.ndarray | None = None
-) -> np.ndarray:
+def _streams(params: FilterParams, elements: Sequence[bytes]) -> list[WordStream]:
+    """The hash streams of the elements, one per element."""
+    return [WordStream(params.seed, _ELEMENT_TAG + e) for e in elements]
+
+
+def _hash_rows(params: FilterParams, elements: Sequence[bytes]) -> np.ndarray:
     """Hash rows in GF(q)^m for each element, as an int64 matrix.
 
     Every element is checked before any is hashed; the rows then come from
-    one batched ``sample_field_elements`` call over the elements' streams,
-    restricted to ``columns`` when given.
+    one batched ``sample_field_elements`` call over the elements' streams.
     """
     _require_bytes(elements)
-    streams = [WordStream(params.seed, _ELEMENT_TAG + e) for e in elements]
-    return sample_field_elements(streams, params.q, 0, params.m, columns)
+    return sample_field_elements(_streams(params, elements), params.q, 0, params.m)
 
 
 def _packed_rows(params: FilterParams, keys: list[bytes]) -> np.ndarray:
@@ -368,12 +370,16 @@ def query(state: FilterState, element: bytes) -> int:
 def query_many(state: FilterState, elements: Sequence[bytes]) -> np.ndarray:
     """Vectorized ``query`` over a sequence of elements.
 
-    Only the columns where ``y`` is nonzero are hashed: the others add
-    nothing to the dot product, and each hash entry depends only on its
-    element and column.  A batch is at most one sampling block of words,
-    ``_BLOCK // len(support)`` elements (at least one), and at most
-    ``_BATCH`` elements, which bounds the per-element stream objects when
-    the support is small.
+    Every element is checked before any is hashed.  Only the columns where
+    ``y`` is nonzero are hashed: the others add nothing to the dot product,
+    and each hash entry depends only on its element and column.  A batch is
+    at most one sampling block of words, ``_BLOCK // len(support)``
+    elements (at least one), and at most ``_BATCH`` elements, which bounds
+    the per-element stream objects when the support is small.  Over GF(2)
+    ``y`` is 1 on its support, so an element is accepted iff its draws
+    there sum to 0, and ``_gf2_draw_sums`` gives that sum from one XOR-fold
+    of the mixer's words with no row of draws.  Over GF(q) with q >= 3 the
+    batch's rows are drawn and multiplied by ``y`` with ``matmul_mod``.
     """
     params = state.params
     _require_bytes(elements)
@@ -382,9 +388,14 @@ def query_many(state: FilterState, elements: Sequence[bytes]) -> np.ndarray:
     out = np.empty(len(elements), dtype=np.int64)
     for lo in range(0, len(elements), step):
         chunk = elements[lo : lo + step]
-        rows = _hash_rows(params, chunk, columns)
-        out[lo : lo + len(chunk)] = matmul_mod(rows, y, params.q) == 0
-        del rows  # free this batch before the next one is hashed
+        streams = _streams(params, chunk)
+        if params.q == 2:
+            answers = _gf2_draw_sums(streams, columns) == 0
+        else:
+            rows = sample_field_elements(streams, params.q, 0, params.m, columns)
+            answers = matmul_mod(rows, y, params.q) == 0
+            del rows  # free this batch before the next one is hashed
+        out[lo : lo + len(chunk)] = answers
     return out
 
 

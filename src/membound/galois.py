@@ -14,24 +14,34 @@ whether hashed element rows lie in its kernel.  This module provides:
   other free variables 0); both paths stop at the first free column.
   GF(2) is two steps: ``_pack_gf2`` packs the low bits of the rows 64
   columns per word, and ``_eliminate_gf2`` eliminates the packed rows in
-  place, 8 columns at a time by the Method of Four Russians: one table of
-  XOR combinations of a byte's pivot rows, and one lookup-and-XOR pass over
-  the rows below.  A caller can pack rows as it hashes them, so no int64
-  matrix of all the rows need exist.  Every other field takes a blocked
-  Gauss-Jordan that factors panels of ``_PANEL`` columns and updates the
-  rows above and below with ``matmul_mod`` products on column chunks of
-  about one ``_BLOCK``.  A panel's pivots and the inverse of its pivot
-  block come from one pass over a short block of ``_PIVOT_SLACK`` more
-  rows than the panel has columns, extended by an identity; only a
-  rank-deficient short block with rows below it (probability about
-  q**-17 for random rows) falls back to a search of the full height;
+  place, 8 columns at a time by the Method of Four Russians: a byte's
+  pivots are found in Python ints on a short block of ``_PIVOT_SLACK`` more
+  rows than the byte has columns (the full height only when that block is
+  rank-deficient and rows remain below it), then one table of XOR
+  combinations of its pivot rows, indexed by byte value, and one
+  lookup-and-XOR pass over the rows below.  A caller can pack rows as it
+  hashes them, so no int64 matrix of all the rows need exist.  Every other
+  field takes a blocked Gauss-Jordan that factors panels of ``_PANEL``
+  columns and updates the rows above and below with ``matmul_mod``
+  products on column chunks of about one ``_BLOCK``.  A panel's pivots
+  and the inverse of its pivot block come from one pass over a short
+  block of ``_PIVOT_SLACK`` more rows than the panel has columns, extended
+  by an identity; only a rank-deficient short block with rows below it
+  (probability about q**-17 for random rows) falls back to a search of
+  the full height;
 * ``WordStream`` -- a pure, keyed 64-bit word source (blake2b absorption +
   splitmix64 counter expansion), so every hash row is reproducible from
   (seed, element bytes) alone;
 * ``sample_field_elements`` -- rejection sampling of field elements from one
   stream or from a batch of streams at once, at every draw of a range or
   at chosen columns of it, in cache-sized blocks mixed and reduced in
-  place.  Every word comes from the one splitmix64 mixer, ``_splitmix64``.
+  place.  Every word comes from the one splitmix64 mixer: ``_splitmix64``
+  is ``_splitmix64_state``, the state z before the final xor-shift,
+  finished as z ^ (z >> 31);
+* ``_gf2_draw_sums`` -- the sum over GF(2) of each stream's draws at chosen
+  columns, which is what a GF(2) query needs: a draw is bit 0 XOR bit 31
+  of z, so the sum is read from the XOR of the states, folded block by
+  block, with no word finished or reduced on its own.
 """
 
 from __future__ import annotations
@@ -164,9 +174,10 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
 # stays cheap.
 _PANEL = 64
 
-# Rows beyond a panel's width w in the short block its pivots are sought
-# in.  A (w + 16) x w block of uniform rows over GF(q) has rank below w
-# with probability under q**-16 / (q - 1): 1.2e-8 at q = 3.
+# Rows beyond a panel's (or a GF(2) byte's) width w in the short block its
+# pivots are sought in.  A (w + 16) x w block of uniform rows over GF(q) has
+# rank below w with probability under q**-16 / (q - 1): 1.2e-8 at q = 3,
+# 1.5e-5 at q = 2.
 _PIVOT_SLACK = 16
 
 # Words per block of the sampling kernel (512 KB): a block and its scratch
@@ -312,6 +323,30 @@ def _pack_gf2(mat: np.ndarray) -> np.ndarray:
     return np.packbits(bits, axis=1, bitorder="little").view("<u8")
 
 
+def _gf2_byte_pivots(values: list[int], width: int) -> tuple[int, list[int]]:
+    """Pivots of the low ``width`` bits of a column of bytes, in Python ints.
+
+    Bit j takes as its pivot the first row from j on with bit j set, after
+    the pivots of bits 0..j-1 were added to the rows below them, and the
+    first bit with no such row ends the search.  Returns the pivot count p
+    and the row order the swaps leave (entry i is the original position of
+    the row now at position i).  ``values`` is reduced in place.
+    """
+    order = list(range(len(values)))
+    p = 0
+    while p < width:
+        bit = 1 << p
+        pr = next((i for i in range(p, len(values)) if values[i] & bit), None)
+        if pr is None:
+            break
+        values[p], values[pr] = values[pr], values[p]
+        order[p], order[pr] = order[pr], order[p]
+        pivot = values[p]
+        values[p + 1 :] = [v ^ pivot if v & bit else v for v in values[p + 1 :]]
+        p += 1
+    return p, order
+
+
 def _eliminate_gf2(packed: np.ndarray, m: int) -> np.ndarray | None:
     """GF(2) kernel vector of ``m`` columns packed as by ``_pack_gf2`` (a
     C-contiguous uint64 array), by Four-Russians elimination on the packed
@@ -321,47 +356,47 @@ def _eliminate_gf2(packed: np.ndarray, m: int) -> np.ndarray | None:
     f is a pivot, so pivot row i has its pivot in column i and the loop
     stops at f.  Each byte of columns is eliminated in one pass (the Method
     of Four Russians: Bard, IACR ePrint 2006/251; Albrecht, Bard and Hart,
-    ACM TOMS 2010).  Its pivots are found on a uint8 copy of the byte of
-    the remaining rows and swapped into place; the p pivot rows are reduced
-    against each other on their pivot columns; a table of the 2**p XOR
-    combinations of those rows is built; and every row below is cleared on
-    the byte's pivot columns by XOR-ing in the table entry its byte
-    selects.  The remaining rows are zero on every column before the byte,
-    so the table and the update cover only words from the byte's own on.
+    ACM TOMS 2010).  Its pivots are found by ``_gf2_byte_pivots`` on the
+    byte of a short block of the first ``width + _PIVOT_SLACK`` remaining
+    rows, which random rows leave rank-deficient with probability about
+    2**-16; only then, and only when rows remain below the block, the
+    search covers every remaining row.  The block's rows are put in pivot
+    order with one fancy-index copy.  A table of the 2**p XOR combinations
+    of the p raw pivot rows is built, and the byte value each entry has on
+    the pivot columns, a bijection of the 2**p patterns, re-indexes it by
+    that value.  The reduced pivot rows, which carry the identity on the
+    byte's pivot columns, are then the entries at the powers of two, and
+    every row below is cleared on those columns by XOR-ing in the entry its
+    byte selects.  The remaining rows are zero on every column before the
+    byte, so the table and the update cover only words from the byte's own
+    on.
     """
-    words = packed.shape[1]
+    k, words = packed.shape
     row_bytes = packed.view(np.uint8)
     free = None
     for b in range((m + 7) // 8):
         r0, w = 8 * b, b >> 3
         width = min(8, m - r0)
-        col = row_bytes[r0:, b].copy()
-        p = 0
-        while p < min(width, col.size):
-            bit = np.uint8(1 << p)
-            pr = p + int((col[p:] & bit).argmax())
-            if not col[pr] & bit:
-                break
-            if pr != p:
-                col[[p, pr]] = col[[pr, p]]
-                packed[[r0 + p, r0 + pr]] = packed[[r0 + pr, r0 + p]]
-            rest = col[p + 1 :]
-            rest ^= ((rest >> np.uint8(p)) & np.uint8(1)) * col[p]
-            p += 1
+        height = min(width + _PIVOT_SLACK, k - r0)
+        p, order = _gf2_byte_pivots(row_bytes[r0 : r0 + height, b].tolist(), width)
+        if p < width and r0 + height < k:
+            # Rank-deficient short block: search every remaining row instead.
+            p, order = _gf2_byte_pivots(row_bytes[r0:, b].tolist(), width)
+        if order != list(range(len(order))):
+            packed[r0 : r0 + len(order)] = packed[r0 + np.array(order)]
         if p < width:
             free = r0 + p
-        pivots = packed[r0 : r0 + p, w:]
-        for i in range(p):
-            hit = (row_bytes[r0 : r0 + p, b] >> np.uint8(i)) & np.uint8(1)
-            hit[i] = 0
-            pivots[hit.astype(bool)] ^= pivots[i]
-        if free is not None:
-            break
+        mask = (1 << p) - 1
         table = np.zeros((1 << p, words - w), dtype=np.uint64)
         for i in range(p):
-            np.bitwise_xor(table[: 1 << i], pivots[i], out=table[1 << i : 2 << i])
+            np.bitwise_xor(table[: 1 << i], packed[r0 + i, w:], out=table[1 << i : 2 << i])
+        by_value = np.empty_like(table)
+        by_value[table.view(np.uint8)[:, b & 7] & np.uint8(mask)] = table
+        packed[r0 : r0 + p, w:] = by_value[1 << np.arange(p)]
+        if free is not None:
+            break
         below = r0 + p
-        packed[below:, w:] ^= table[row_bytes[below:, b] & np.uint8((1 << p) - 1)]
+        packed[below:, w:] ^= by_value[row_bytes[below:, b] & np.uint8(mask)]
     if free is None:
         return None
     y_int = 1 << free
@@ -393,19 +428,21 @@ def nullspace_of_matrix(mat: np.ndarray, q: int) -> np.ndarray | None:
     return _nullspace_general(mat, q)
 
 
-def _splitmix64(bases, indices, attempt, out, scratch=None) -> np.ndarray:
-    """``out`` = splitmix64(base + golden * ((index << 8 | attempt) + 1)).
+def _shift_buffer(out: np.ndarray, scratch: np.ndarray | None) -> np.ndarray:
+    """A uint64 array of ``out``'s shape for the mixer's shifted copies."""
+    if scratch is None:
+        return np.empty_like(out)
+    return scratch[: out.size].reshape(out.shape)
 
-    The one mixer behind every stream word.  ``bases`` and ``indices`` are
-    uint64 arrays (or scalars) that broadcast to the uint64 array ``out``,
-    which is filled in place; ``scratch``, when given, is a uint64 array of
-    at least ``out.size`` words for the shifted copies.
+
+def _splitmix64_state(bases, indices, attempt, out, scratch=None) -> np.ndarray:
+    """``out`` = splitmix64's state z before its final xor-shift, for the
+    input base + golden * ((index << 8 | attempt) + 1); ``_splitmix64``
+    finishes it as z ^ (z >> 31).  The arguments are as for ``_splitmix64``.
     """
     if not (0 <= operator.index(attempt) < 256):
         raise DomainError(f"attempt {attempt!r} out of range")
-    shifted = (
-        np.empty_like(out) if scratch is None else scratch[: out.size].reshape(out.shape)
-    )
+    shifted = _shift_buffer(out, scratch)
     # golden * ((index << 8 | attempt) + 1) = golden * 256 * index
     # + golden * (attempt + 1) mod 2**64 (at attempt 255 the + 1 carries into
     # the index bits), built in the front of ``shifted`` without temporaries.
@@ -417,6 +454,19 @@ def _splitmix64(bases, indices, attempt, out, scratch=None) -> np.ndarray:
         np.right_shift(out, np.uint64(shift), out=shifted)
         np.bitwise_xor(out, shifted, out=out)
         np.multiply(out, np.uint64(mult), out=out)
+    return out
+
+
+def _splitmix64(bases, indices, attempt, out, scratch=None) -> np.ndarray:
+    """``out`` = splitmix64(base + golden * ((index << 8 | attempt) + 1)).
+
+    The one mixer behind every stream word.  ``bases`` and ``indices`` are
+    uint64 arrays (or scalars) that broadcast to the uint64 array ``out``,
+    which is filled in place; ``scratch``, when given, is a uint64 array of
+    at least ``out.size`` words for the shifted copies.
+    """
+    _splitmix64_state(bases, indices, attempt, out, scratch)
+    shifted = _shift_buffer(out, scratch)
     np.right_shift(out, np.uint64(31), out=shifted)
     return np.bitwise_xor(out, shifted, out=out)
 
@@ -530,3 +580,32 @@ def sample_field_elements(
             np.multiply(quotient, q, out=quotient)
             np.subtract(block, quotient, out=block)
     return out[0] if single else out
+
+
+def _gf2_draw_sums(streams: Sequence[WordStream], columns: np.ndarray) -> np.ndarray:
+    """Sum over GF(2) of each stream's draws at ``columns``, as int64 0/1.
+
+    Row i equals ``sample_field_elements(streams[i], 2, 0, count,
+    columns).sum() % 2`` for any count above every column.  At q = 2 every
+    word is accepted and the draw is its low bit, which is bit 0 of z XOR
+    bit 31 of z for splitmix64's state z before its final xor-shift.  So
+    the sum is bit 0 XOR bit 31 of the XOR of those states: each block of
+    states (whole rows while they fit in a ``_BLOCK``, else column chunks)
+    is XOR-folded along its rows, and the final xor-shift and the reduction
+    are never applied word by word.
+    """
+    draws = np.asarray(columns, dtype=np.uint64)
+    bases = np.array([s._base for s in streams], dtype=np.uint64).reshape(-1, 1)
+    width = max(1, min(draws.size, _BLOCK))
+    rows = max(1, _BLOCK // width)
+    states = np.empty((min(len(streams), rows), width), dtype=np.uint64)
+    scratch = np.empty(states.size, dtype=np.uint64)
+    folded = np.zeros(len(streams), dtype=np.uint64)
+    for c0 in range(0, draws.size, width):
+        indices = draws[c0 : c0 + width]
+        for r0 in range(0, len(streams), rows):
+            base = bases[r0 : r0 + rows]
+            block = states[: base.shape[0], : indices.size]
+            _splitmix64_state(base, indices, 0, block, scratch)
+            folded[r0 : r0 + rows] ^= np.bitwise_xor.reduce(block, axis=1)
+    return ((folded ^ (folded >> np.uint64(31))) & np.uint64(1)).astype(np.int64)

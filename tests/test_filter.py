@@ -453,6 +453,32 @@ class TestTwoSidedBuild:
         assert peak < params.n * params.m
 
 
+def _spy_query_hashing(monkeypatch, q: int) -> list[tuple[int, int]]:
+    """Record (elements, columns) of every batch ``query_many`` hashes at
+    modulus q: calls of ``_gf2_draw_sums`` at q = 2, whose answers are
+    parities of draws with no row of them, and the shapes of the rows
+    ``sample_field_elements`` draws at every other q."""
+    shapes: list[tuple[int, int]] = []
+    if q == 2:
+        sums = F._gf2_draw_sums
+
+        def spy(streams, columns):
+            shapes.append((len(streams), len(columns)))
+            return sums(streams, columns)
+
+        monkeypatch.setattr(F, "_gf2_draw_sums", spy)
+    else:
+        sample = F.sample_field_elements
+
+        def spy(*args, **kwargs):
+            out = sample(*args, **kwargs)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(F, "sample_field_elements", spy)
+    return shapes
+
+
 class TestQuery:
     def test_satisfied_keys_answer_one(self, built_1000):
         _, keys, state, report = built_1000
@@ -487,30 +513,15 @@ class TestQuery:
     def test_query_batches_are_one_sampling_block(self, monkeypatch):
         params = derive_params(100, 0, 0.5, 5)
         state, _ = build(params, [b"batch-key-%d" % i for i in range(100)])
-        shapes = []
-        sample = F.sample_field_elements
-
-        def counted(*args):
-            out = sample(*args)
-            shapes.append(out.shape)
-            return out
-
-        monkeypatch.setattr(F, "sample_field_elements", counted)
+        shapes = _spy_query_hashing(monkeypatch, 2)
         query_many(state, [b"batch-query-%d" % i for i in range(3 * _BATCH)])
         # 49 support columns: _BLOCK // 49 = 1337 elements per batch.
         assert len(state._support[0]) == 49
         assert shapes == [(1337, 49)] * 9 + [(3 * _BATCH - 9 * 1337, 49)]
 
     def test_elements_checked_before_any_hashing(self, built_12_seed0, monkeypatch):
-        _, state, _ = built_12_seed0
-        calls = []
-        sample = F.sample_field_elements
-
-        def counted(*args):
-            calls.append(args)
-            return sample(*args)
-
-        monkeypatch.setattr(F, "sample_field_elements", counted)
+        params, state, _ = built_12_seed0
+        calls = _spy_query_hashing(monkeypatch, params.q)
         elements = [b"k%d" % i for i in range(5000)] + ["str"]
         with pytest.raises(DomainError):
             query_many(state, elements)
@@ -519,7 +530,7 @@ class TestQuery:
         # y has 4 nonzero columns, so a batch is _BATCH elements, not a
         # _BLOCK of words (16384 elements).
         assert len(state._support[0]) == 4
-        assert [len(args[0]) for args in calls] == [_BATCH, 5000 - _BATCH]
+        assert [rows for rows, _ in calls] == [_BATCH, 5000 - _BATCH]
 
     def test_field_built_once_per_call(self, built_12_seed0, monkeypatch):
         params, state, _ = built_12_seed0
@@ -546,15 +557,7 @@ class TestQuery:
         m = params.m
         elements = [b"support-%d" % i for i in range(_BATCH + 3)]
         rows = [reference_row(params.seed, e, q, m) for e in elements]
-        shapes = []
-        sample = F.sample_field_elements
-
-        def counted(*args, **kwargs):
-            out = sample(*args, **kwargs)
-            shapes.append(out.shape)
-            return out
-
-        monkeypatch.setattr(F, "sample_field_elements", counted)
+        shapes = _spy_query_hashing(monkeypatch, q)
         rng = np.random.default_rng(q % 1000)
         dense = [int(v) for v in rng.integers(1, q, size=m)]
         dense[m // 2] = 0
@@ -572,6 +575,32 @@ class TestQuery:
             # m <= 10 columns, so each batch is _BATCH elements.
             assert m <= 10 and shapes == [(_BATCH, support), (3, support)]
             assert query(state, elements[-1]) == want[-1]
+
+    @pytest.mark.parametrize("block", [_BLOCK, 40, 4])
+    def test_gf2_answers_match_reference_at_batch_edges(self, block, monkeypatch):
+        # At q = 2 the answer is a parity of draws folded from the mixer's
+        # words.  Shrunken blocks put the batch edge at a few elements, and
+        # at block 4 a dense support spans column chunks of one element.
+        monkeypatch.setattr(F, "_BLOCK", block)
+        monkeypatch.setattr(galois, "_BLOCK", block)
+        params = derive_params(6, 0, 0.5, 99)
+        m = params.m
+        dense = [1] * m
+        dense[m // 2] = 0
+        for coords in ([1] + [0] * (m - 1), [0] * (m - 1) + [1], dense):
+            state = FilterState(params, galois.FieldVector(2, coords))
+            step = max(1, min(_BATCH, block // sum(coords)))
+            elements = [b"fold-%d" % i for i in range(max(step + 1, 16))]
+            want = [
+                int(reference_dot(reference_row(params.seed, e, 2, m), coords, 2) == 0)
+                for e in elements
+            ]
+            assert 0 < sum(want) < len(want)
+            for count in sorted({0, 1, step - 1, step, step + 1}):
+                got = query_many(state, elements[:count])
+                assert got.dtype == np.int64 and got.tolist() == want[:count]
+            for i in sorted({0, step - 1, step}):
+                assert query(state, elements[i]) == want[i]
 
     def test_hyperplane_accepts_exactly_one_in_q(self):
         # y = (1, 0, 1) over GF(2): rows with row[0] = row[2] pass -> 4 of 8.

@@ -28,10 +28,12 @@ from membound.galois import (
     _BLOCK,
     _PANEL,
     _PIVOT_SLACK,
+    _gf2_draw_sums,
     _nullspace_general,
     _pack_gf2,
     _rejection_threshold,
     _splitmix64,
+    _splitmix64_state,
     matmul_mod,
     nullspace_of_matrix,
     sample_field_elements,
@@ -249,6 +251,44 @@ class TestNullspace:
             mat[:, f] = mat[:, :f] @ rng.integers(0, 2, size=f) % 2
             y = check(mat)
             assert y[f] == 1 and not any(y[f + 1 :])
+
+    def test_gf2_pivot_below_the_short_block(self, monkeypatch):
+        # A byte column with no pivot in the first 8 + _PIVOT_SLACK rows of
+        # its byte, and one further down, in bytes 0 and 1.  Random rows
+        # leave the short block rank-deficient with probability about
+        # 2**-16 per byte, so only planted rows reach the full-height search.
+        heights = []
+        search = galois._gf2_byte_pivots
+
+        def spy(values, width):
+            heights.append(len(values))
+            return search(values, width)
+
+        monkeypatch.setattr(galois, "_gf2_byte_pivots", spy)
+        rng = np.random.default_rng(23)
+        m, k, short = 40, 60, 8 + _PIVOT_SLACK
+
+        def check(mat):
+            heights.clear()
+            # Column 35 depends on columns 0..34, so a kernel vector exists.
+            mat[:, 35] = mat[:, :35] @ rng.integers(0, 2, size=35) % 2
+            fast = nullspace_of_matrix(mat, 2)
+            assert np.array_equal(fast, _nullspace_general(mat, 2))
+            assert fast.tolist() == _reference_kernel(mat.tolist(), m, 2)
+            assert fast[35] == 1 and not fast[36:].any()
+
+        # Byte 0 sees the input: column 3 is zero in rows 0..short-1.
+        mat = rng.integers(0, 2, size=(k, m)).astype(np.int64)
+        mat[:short, 3] = 0
+        mat[short + 7, 3] = 1
+        check(mat)
+        assert k in heights
+        # Byte 1 sees rows 8.. after byte 0's update: column 13 depends on
+        # columns 0..12 in every row of its short block, and not below it.
+        mat = rng.integers(0, 2, size=(k, m)).astype(np.int64)
+        mat[: 8 + short, 13] = mat[: 8 + short, :13] @ rng.integers(0, 2, size=13) % 2
+        check(mat)
+        assert max(heights) == k - 8
 
     @pytest.mark.parametrize("m", [1, 63, 64, 65, 130])
     def test_packed_rows_hold_the_low_bits(self, m):
@@ -719,6 +759,39 @@ class TestFieldSampling:
             sample_field_elements(forced, 3, 0, 4)
         with pytest.raises(RuntimeError):
             sample_field_elements(forced, 3, 0, 1)
+
+
+class TestGf2Fold:
+    """The GF(2) query path: ``_splitmix64`` is its pre-final state followed
+    by one xor-shift, and ``_gf2_draw_sums`` is the parity of the draws."""
+
+    def test_mixer_is_state_then_final_xor_shift(self):
+        rng = np.random.default_rng(41)
+        bases = rng.integers(0, 1 << 64, size=(3, 1), dtype=np.uint64)
+        indices = rng.integers(0, 1 << 56, size=17, dtype=np.uint64)
+        indices[:2] = (0, (1 << 56) - 1)
+        for attempt in range(256):
+            z = _splitmix64_state(bases, indices, attempt, np.empty((3, 17), np.uint64))
+            want = z ^ (z >> np.uint64(31))
+            got = _splitmix64(bases, indices, attempt, np.empty((3, 17), np.uint64))
+            assert np.array_equal(got, want)
+        with pytest.raises(DomainError):
+            _splitmix64_state(bases, indices, 256, np.empty((3, 17), np.uint64))
+
+    @pytest.mark.parametrize("block", [_BLOCK, 24, 5])
+    def test_draw_sums_are_parities_of_the_draws(self, block, monkeypatch):
+        # Block 24 takes a few streams per block; block 5 splits the columns.
+        monkeypatch.setattr(galois, "_BLOCK", block)
+        streams = [WordStream(43, b"E-fold-%d" % i) for i in range(13)]
+        m = 12
+        rows = [reference_row(43, b"-fold-%d" % i, 2, m) for i in range(13)]
+        for columns in ([], [0], [m - 1, 0, 5], list(range(m)), [3, 3, 7]):
+            got = _gf2_draw_sums(streams, np.array(columns, dtype=np.int64))
+            assert got.dtype == np.int64 and got.shape == (13,)
+            assert got.tolist() == [sum(row[j] for j in columns) % 2 for row in rows]
+            drawn = sample_field_elements(streams, 2, 0, m, np.array(columns, dtype=int))
+            assert got.tolist() == (drawn.sum(axis=1) % 2).tolist()
+        assert _gf2_draw_sums([], np.arange(m)).shape == (0,)
 
 
 class TestBatchSampling:
