@@ -28,7 +28,9 @@ whether hashed element rows lie in its kernel.  This module provides:
   block of ``_PIVOT_SLACK`` more rows than the panel has columns, extended
   by an identity; only a rank-deficient short block with rows below it
   (probability about q**-17 for random rows) falls back to a search of
-  the full height;
+  the full height.  That pass, ``_gauss_jordan``, works on int64 in place
+  and subtracts one unreduced rank-1 product per column, reducing the
+  block only as often as int64 needs;
 * ``WordStream`` -- a pure, keyed 64-bit word source (blake2b absorption +
   splitmix64 counter expansion), so every hash row is reproducible from
   (seed, element bytes) alone;
@@ -189,34 +191,55 @@ _BLOCK = 1 << 16
 def _gauss_jordan(
     x: np.ndarray, q: int, ncols: int
 ) -> tuple[int, list[tuple[int, int]]]:
-    """Reduce the leading ``ncols`` columns of uint64 ``x`` in place over GF(q).
+    """Reduce the leading ``ncols`` columns of int64 ``x`` (entries in
+    [0, q)) in place over GF(q).
 
     Columns are taken left to right and the first one without a pivot ends
     the loop.  Returns the pivot count r (rows 0..r-1 of ``x`` then carry the
-    identity on columns 0..r-1) and the row swaps made, in order.  Products
-    are reduced mod q before they are combined, so every intermediate stays
-    below 2**64 for q < 2**32.
+    identity on columns 0..r-1) and the row swaps made, in order.
+
+    Each column reduces only itself and its pivot row mod q, then subtracts
+    the rank-1 product of the column and the pivot row from every row of
+    the trailing columns, with no reduction and no row selection.  A
+    product term is below (q-1)**2, so the trailing columns are reduced
+    after every ``2**62 // (q-1)**2`` products, and once at the end: every
+    entry then stays above -2**62.  For q > 2**31, where (q-1)**2 >= 2**62,
+    each product is reduced mod q in uint64 before it is subtracted: an
+    entry loses less than q per product, and the block is reduced after
+    every ``2**62 // (q-1)`` products instead.
     """
+    reduce_products = (q - 1) ** 2 >= 1 << 62
+    period = (1 << 62) // ((q - 1) if reduce_products else (q - 1) ** 2)
     qq = np.uint64(q)
     swaps: list[tuple[int, int]] = []
+    # Every column before the first one without a pivot has one, so the
+    # pivot of column r is row r.
     r = 0
-    for c in range(ncols):
-        nz = np.flatnonzero(x[r:, c])
+    while r < ncols:
+        column = x[:, r]
+        column %= q
+        nz = np.flatnonzero(column[r:])
         if nz.size == 0:
             break
         pr = r + int(nz[0])
         if pr != r:
             x[[r, pr]] = x[[pr, r]]
             swaps.append((r, pr))
-        # Row r is zero before column c, so only columns c.. change.
-        x[r, c:] = x[r, c:] * np.uint64(pow(int(x[r, c]), -1, q)) % qq
-        factors = x[:, c].copy()
+        # Row r is zero before column r, so only columns r.. change.
+        row = x[r, r:]
+        row %= q
+        row[:] = row.view(np.uint64) * np.uint64(pow(int(row[0]), -1, q)) % qq
+        factors = column.copy()
         factors[r] = 0
-        hit = np.flatnonzero(factors)
-        if hit.size:
-            t = factors[hit, None] * x[r, c:] % qq
-            x[hit, c:] = (x[hit, c:] + (qq - t)) % qq
+        if reduce_products:
+            product = factors.view(np.uint64)[:, None] * row.view(np.uint64) % qq
+            x[:, r:] -= product.view(np.int64)
+        else:
+            x[:, r:] -= factors[:, None] * row
         r += 1
+        if r % period == 0:
+            x[:, r:] %= q
+    x[:, r:] %= q
     return r, swaps
 
 
@@ -262,13 +285,12 @@ def _nullspace_general(mat: np.ndarray, q: int) -> np.ndarray | None:
         width = block.shape[1]
         height = min(width + _PIVOT_SLACK, k - j0)
         short = np.concatenate(
-            [block[j0 : j0 + height].astype(np.uint64), np.eye(height, dtype=np.uint64)],
-            axis=1,
+            [block[j0 : j0 + height], np.eye(height, dtype=np.int64)], axis=1
         )
         r, swaps = _gauss_jordan(short, q, width)
         if r < width and j0 + height < k:
             # Rank-deficient short block: search the full height instead.
-            r, swaps = _gauss_jordan(block[j0:].astype(np.uint64), q, width)
+            r, swaps = _gauss_jordan(block[j0:].copy(), q, width)
             short = None
         for s, t in swaps:
             a[[j0 + s, j0 + t], j0:] = a[[j0 + t, j0 + s], j0:]
@@ -278,9 +300,7 @@ def _nullspace_general(mat: np.ndarray, q: int) -> np.ndarray | None:
         full = r == width
         pivots = slice(j0, j1)
         if short is None:
-            inverse = np.concatenate(
-                [a[pivots, pivots].astype(np.uint64), np.eye(r, dtype=np.uint64)], axis=1
-            )
+            inverse = np.concatenate([a[pivots, pivots], np.eye(r, dtype=np.int64)], axis=1)
             _gauss_jordan(inverse, q, r)
             inverse = inverse[:, r:]
         else:

@@ -2,8 +2,9 @@
 reference implementation, used to cross-check the f_p functional; a
 plain-int reference of the keyed word stream and its rejection sampling,
 used to check the library's hashing without calling it, and an
-exhaustive search over the vectors a two-sided filter may store; a spy
-on the GF(q) elimination's panel searches; an exact scan over pairs of
+exhaustive search over the vectors a two-sided filter may store; the
+GF(q) panel pass that reduces every product, and a spy on the GF(q)
+elimination's panel searches; an exact scan over pairs of
 penalty pairs, used to check the solver's rate-0 test; the solver's
 inner Lagrangian step in whole-array numpy, used as the reference for the
 list-based one; and an enumeration of every tiny tester, used to check the
@@ -247,6 +248,39 @@ def reference_inner_solve(
         _reference_mean_penalty(muK, dK[idx]),
         _reference_mean_penalty(muN, dN[idx]),
     )
+
+
+def reference_gauss_jordan(
+    x: np.ndarray, q: int, ncols: int
+) -> tuple[int, list[tuple[int, int]]]:
+    """The GF(q) panel pass that reduces every product mod q, on uint64
+    ``x``: the reference for the delayed-reduction ``galois._gauss_jordan``.
+
+    Reduces the leading ``ncols`` columns of ``x`` in place; the first
+    column without a pivot ends the loop.  Returns the pivot count and the
+    row swaps made, in order.
+    """
+    qq = np.uint64(q)
+    swaps: list[tuple[int, int]] = []
+    r = 0
+    for c in range(ncols):
+        nz = np.flatnonzero(x[r:, c])
+        if nz.size == 0:
+            break
+        pr = r + int(nz[0])
+        if pr != r:
+            x[[r, pr]] = x[[pr, r]]
+            swaps.append((r, pr))
+        # Row r is zero before column c, so only columns c.. change.
+        x[r, c:] = x[r, c:] * np.uint64(pow(int(x[r, c]), -1, q)) % qq
+        factors = x[:, c].copy()
+        factors[r] = 0
+        hit = np.flatnonzero(factors)
+        if hit.size:
+            t = factors[hit, None] * x[r, c:] % qq
+            x[hit, c:] = (x[hit, c:] + (qq - t)) % qq
+        r += 1
+    return r, swaps
 
 
 def spy_gauss_jordan(monkeypatch) -> list[int]:

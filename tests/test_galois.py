@@ -11,6 +11,7 @@ import pytest
 from conftest import (
     reference_dot,
     reference_element,
+    reference_gauss_jordan,
     reference_row,
     reference_word,
     spy_gauss_jordan,
@@ -371,7 +372,11 @@ def _check_against_reference(rows: list[list[int]], m: int, q: int) -> list[int]
     return want
 
 
-_WIDE_PRIMES = [3, 5, 7, 4294967291]
+# The panel pass reduces its block every 2**62 // (q-1)**2 columns, and for
+# q > 2**31 reduces each product instead: 759250133 reduces every 7
+# columns, 2**31 - 1 every column, and 2147483659 is the first prime whose
+# products are reduced.
+_WIDE_PRIMES = [3, 5, 7, 759250133, 2147483647, 2147483659, 4294967291]
 _PANEL_EDGES = [_PANEL - 1, _PANEL, _PANEL + 1, 2 * _PANEL + 1]
 
 
@@ -493,6 +498,39 @@ class TestBlockedEliminationAgainstReference:
                     row[2 * _PANEL + 3] = 0
             _check_against_reference(rows, m, q)
         assert max(heights) <= _PANEL + _PIVOT_SLACK
+
+    @pytest.mark.parametrize("q", _WIDE_PRIMES)
+    def test_panel_pass_matches_reference(self, q):
+        # The delayed-reduction panel pass against the one that reduces
+        # every product: the same pivot count, swaps and reduced entries.
+        rng = np.random.default_rng(q % 1000 + 4)
+        w, height = _PANEL, _PANEL + _PIVOT_SLACK
+
+        def rows(k):
+            return rng.integers(0, q, size=(k, w), dtype=np.int64)
+
+        def with_identity(block):
+            return np.concatenate([block, np.eye(len(block), dtype=np.int64)], axis=1)
+
+        zero, dependent = rows(height), rows(height)
+        zero[:, 40] = 0
+        coeffs = rng.integers(0, q, size=30).astype(object)
+        dependent[:, 30] = dependent[:, :30].astype(object) @ coeffs % q
+        cases = [
+            with_identity(rows(height)),  # a panel's short block
+            rows(3 * w),  # the full-height fallback
+            with_identity(rows(20)),  # fewer rows than columns
+            with_identity(zero),
+            with_identity(dependent),
+        ]
+        counts = []
+        for x in cases:
+            want_x = x.astype(np.uint64)
+            want = reference_gauss_jordan(want_x, q, w)
+            assert galois._gauss_jordan(x, q, w) == want
+            assert x.tolist() == want_x.tolist()
+            counts.append(want[0])
+        assert counts[:2] == [w, w] and counts[2] <= 20 and counts[3:] == [40, 30]
 
     @pytest.mark.parametrize("q", _WIDE_PRIMES)
     def test_no_rows_gives_first_basis_vector(self, q):
