@@ -21,9 +21,12 @@ whether hashed element rows lie in its kernel.  This module provides:
   combinations of its pivot rows, indexed by byte value, and one
   lookup-and-XOR pass over the rows below.  A caller can pack rows as it
   hashes them, so no int64 matrix of all the rows need exist.  Every other
-  field takes a blocked Gauss-Jordan that factors panels of ``_PANEL``
-  columns and updates the rows above and below with ``matmul_mod``
-  products on column chunks of about one ``_BLOCK``.  A panel's pivots
+  field takes a right-looking block LU with the same shape as GF(2): it
+  factors panels of ``_PANEL`` columns, updates only the rows below each
+  panel with ``matmul_mod`` products on column chunks of about one
+  ``_BLOCK``, and so leaves an echelon form whose diagonal blocks are
+  identities; the kernel vector is then read back one panel per
+  ``matmul_mod`` matrix-vector product.  A panel's pivots
   and the inverse of its pivot block come from one pass over a short
   block of ``_PIVOT_SLACK`` more rows than the panel has columns, extended
   by an identity; only a rank-deficient short block with rows below it
@@ -244,7 +247,8 @@ def _gauss_jordan(
 
 
 def _nullspace_general(mat: np.ndarray, q: int) -> np.ndarray | None:
-    """Kernel vector over GF(q) by right-looking blocked Gauss-Jordan.
+    """Kernel vector over GF(q) by right-looking block LU, then
+    back-substitution.
 
     The columns are taken in panels of ``_PANEL``.  Each panel's pivots are
     found by ``_gauss_jordan`` on a copy of the panel's own columns in its
@@ -260,37 +264,41 @@ def _nullspace_general(mat: np.ndarray, q: int) -> np.ndarray | None:
     holds every remaining row and the fallback is never needed there.
     Which rows serve as pivots does not change the result (see below).
 
-    The pivot rows' trailing part A1 becomes ``B^-1 A1`` and every other
-    row loses ``L`` times that, where ``L`` is its part of the pivot
-    columns.  Each of
-    the two block updates is one ``matmul_mod`` product per chunk of
-    ``_BLOCK // k`` columns (at least ``_PANEL``), so their float64 and
-    int64 temporaries stay near one block, not the size of the trailing
-    matrix.  As in FFLAS-FFPACK (Dumas, Giorgi and Pernet, ACM TOMS 2008)
-    the reduction mod q is delayed: an update adds less than q to an entry,
-    so the columns ahead of the current panel are reduced only when a panel
-    reaches them, and they stay below q*(1 + m) < 2**63 until then.
+    The pivot rows' trailing part A1 becomes ``B^-1 A1`` and every row below
+    them loses ``L`` times that, where ``L`` is its part of the pivot
+    columns; the rows above the panel are not touched.  Each of the two
+    block updates is one ``matmul_mod`` product per chunk of
+    ``_BLOCK // (k - j0)`` columns (at least ``_PANEL``), with k - j0 the
+    rows from the panel down, so their float64 and int64 temporaries stay
+    near one block, not the size of the trailing matrix.  As in FFLAS-FFPACK
+    (Dumas, Giorgi and Pernet, ACM TOMS 2008) the reduction mod q is
+    delayed: an update adds less than q to an entry, so the columns ahead
+    of the current panel are reduced only when a panel reaches them, and
+    they stay below q*(1 + m) < 2**63 until then.
 
-    Every column before the first free column f is a pivot, so the kernel
-    vector of the reduced-row-echelon convention is supported on columns
-    0..f and read off column f: the elimination stops there.  It is the one
-    kernel vector supported on columns 0..f with y_f = 1, whichever rows
-    the pivots came from.
+    Every column before the first free column f is a pivot, so the loop
+    stops at f, and the pivot rows form an echelon form of columns 0..f
+    whose diagonal blocks are identities: a panel's pivot rows read
+    [I | B^-1 A1] from its first column on.  With y_f = 1 and y zero after
+    f, each panel's unknowns are minus its pivot rows' columns up to f
+    times y there, so the panels are solved from last to first, as the
+    GF(2) path solves its pivot rows.  The result is the one kernel vector
+    supported on columns 0..f with y_f = 1, whichever rows the pivots came
+    from, which is the reduced-row-echelon convention's.
     """
     a = np.asarray(mat, dtype=np.int64) % q
     k, m = a.shape
     for j0 in range(0, m, _PANEL):
-        block = a[:, j0 : j0 + _PANEL]
+        # The rows above the panel are pivot rows, already reduced.
+        block = a[j0:, j0 : j0 + _PANEL]
         block %= q
         width = block.shape[1]
         height = min(width + _PIVOT_SLACK, k - j0)
-        short = np.concatenate(
-            [block[j0 : j0 + height], np.eye(height, dtype=np.int64)], axis=1
-        )
+        short = np.concatenate([block[:height], np.eye(height, dtype=np.int64)], axis=1)
         r, swaps = _gauss_jordan(short, q, width)
         if r < width and j0 + height < k:
             # Rank-deficient short block: search the full height instead.
-            r, swaps = _gauss_jordan(block[j0:].copy(), q, width)
+            r, swaps = _gauss_jordan(block.copy(), q, width)
             short = None
         for s, t in swaps:
             a[[j0 + s, j0 + t], j0:] = a[[j0 + t, j0 + s], j0:]
@@ -310,21 +318,24 @@ def _nullspace_general(mat: np.ndarray, q: int) -> np.ndarray | None:
             for s, t in swaps:
                 order[[s, t]] = order[[t, s]]
             inverse = short[:r, width + order[:r]]
-        lower = -a[:, pivots] % q
+        lower = -a[j1:, pivots] % q
         # Every column after the panel, or only the free column j1.
         stop = m if full else j1 + 1
-        chunk = max(_PANEL, _BLOCK // max(k, 1))
+        chunk = max(_PANEL, _BLOCK // max(k - j0, 1))
         for c0 in range(j1, stop, chunk):
             cols = slice(c0, min(c0 + chunk, stop))
             a[pivots, cols] %= q
             top = matmul_mod(inverse, a[pivots, cols], q)
-            a[:, cols] += matmul_mod(lower, top, q)
+            a[j1:, cols] += matmul_mod(lower, top, q)
             a[pivots, cols] = top
         if not full:
             break
+    # Column f = j1 is free: solve the panels' pivot rows from last to first.
     y = np.zeros(m, dtype=np.int64)
-    y[:j1] = -a[:j1, j1] % q
     y[j1] = 1
+    for j0 in reversed(range(0, j1, _PANEL)):
+        end = min(j0 + _PANEL, j1)
+        y[j0:end] = -matmul_mod(a[j0:end, end : j1 + 1], y[end : j1 + 1], q) % q
     return y
 
 

@@ -1,5 +1,6 @@
 """Shared test helpers: random distribution pairs and a mutual-information
-reference implementation, used to cross-check the f_p functional; a
+reference implementation, used to cross-check the f_p functional; the
+binary frontier's corner value, used as the FNR/FPR solver's oracle; a
 plain-int reference of the keyed word stream and its rejection sampling,
 used to check the library's hashing without calling it, and an
 exhaustive search over the vectors a two-sided filter may store; the
@@ -80,6 +81,17 @@ def direct_f_p(p: float, mu_K: DiscreteDistribution, mu_N: DiscreteDistribution)
             if joint > 0.0:
                 information += joint * math.log2(conditional / marginal)
     return information / p
+
+
+def binary_corner_rate(p: float, eps_K: float, eps_N: float) -> float:
+    """f_p(p, Bern(1 - eps_K), Bern(eps_N)) by ``direct_f_p``, in bits.
+
+    For FNR/FPR budgets with eps_K + eps_N < 1 this is R_p: the feasible
+    laws are Bern(a) x Bern(b) with a >= 1 - eps_K and b <= eps_N, and f_p
+    is smallest where the two are closest, at that corner.
+    """
+    bern = DiscreteDistribution.bernoulli
+    return direct_f_p(p, bern(1.0 - eps_K), bern(eps_N))
 
 
 _MASK64 = (1 << 64) - 1

@@ -21,7 +21,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import direct_f_p, random_distribution, random_pair_shared_support
+from conftest import (
+    binary_corner_rate,
+    direct_f_p,
+    random_distribution,
+    random_pair_shared_support,
+)
 
 from membound import (
     DiscreteDistribution,
@@ -132,17 +137,31 @@ class TestSmallDensityExpansion:
         assert abs(first_order_rate(0.1, 0.1, 0.01) - 2.484644) <= 1e-6
 
 
+# 48 FNR/FPR points: p in (0.5, 0.1, 0.01), budgets in {0, 0.05, 0.1, 0.25}.
+_BINARY_SWEEP = [
+    (p, eps_K, eps_N)
+    for p in (0.5, 0.1, 0.01)
+    for eps_K in (0.0, 0.05, 0.1, 0.25)
+    for eps_N in (0.0, 0.05, 0.1, 0.25)
+]
+
+
 class TestSolverOracleAgreement:
     def test_sweep_within_absolute_tolerance(self):
         fnr, fpr = ErrorMetric.fnr(), ErrorMetric.fpr()
         start = time.perf_counter()
-        for p in (0.5, 0.1, 0.01):
-            for eps_K in (0.0, 0.05, 0.1, 0.25):
-                for eps_N in (0.0, 0.05, 0.1, 0.25):
-                    rate = solve_rp(p, fnr, fpr, eps_K, eps_N).rate_bits_per_key
-                    oracle = rp_binary_oracle(p, eps_K, eps_N, 2000)
-                    assert abs(rate - oracle) <= 1e-4, (p, eps_K, eps_N)
+        for p, eps_K, eps_N in _BINARY_SWEEP:
+            rate = solve_rp(p, fnr, fpr, eps_K, eps_N).rate_bits_per_key
+            oracle = binary_corner_rate(p, eps_K, eps_N)
+            assert abs(rate - oracle) <= 1e-7, (p, eps_K, eps_N)
         assert time.perf_counter() - start < 120.0
+
+    def test_grid_oracle_sits_at_the_corner(self):
+        # The brute-force grid scan's minimum is the corner of its box, so
+        # the corner value is the same oracle.
+        for p, eps_K, eps_N in _BINARY_SWEEP:
+            grid = rp_binary_oracle(p, eps_K, eps_N, 200)
+            assert abs(grid - binary_corner_rate(p, eps_K, eps_N)) <= 1e-12, (p, eps_K, eps_N)
 
 
 class TestFilterExactness:

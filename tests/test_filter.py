@@ -784,6 +784,7 @@ class TestSerialization:
         "q,n,digest",
         [
             (3, 300, "1ec9419c659db58eff9c64b06db07384d0a20c72409015b507c4434d3273aa6a"),
+            (3, 1000, "1cbdd02ad947ccd454d6e7634f6ab1bc43fbae2b6e108e8345120c78e35d382c"),
             (5, 200, "02192a43efaa88867959c1470890df30d2e0f590b580f168997a0ebe5fdc9aab"),
             (
                 4294967291,
@@ -794,8 +795,10 @@ class TestSerialization:
     )
     def test_bytes_pinned_across_panels(self, q, n, digest):
         # Digests taken at commit 31e910d, before each GF(q) panel's pivots
-        # were sought in a short block of rows.  m = 329, 215 and 81 span
-        # several elimination panels.
+        # were sought in a short block of rows, and the n=1000 one at
+        # a2bdb02, before the elimination stopped updating the rows above
+        # each panel.  m = 329, 215, 81 and 1064 (17 panels) span several
+        # elimination panels.
         params = derive_params(n, 0, 1.0 / q, q)
         assert params.m > galois._PANEL
         state, _ = build(params, [b"pin-%d" % i for i in range(n)])

@@ -328,33 +328,32 @@ class TestNullspace:
 def _reference_kernel(rows: list[list[int]], m: int, q: int) -> list[int] | None:
     """Kernel vector in the reduced-row-echelon convention, in Python ints.
 
-    Full Gauss-Jordan over all ``m`` columns; then the lowest-index free
-    column is set to 1, every other free column to 0, and each pivot
-    variable to minus its row's entry in that free column.  None when every
-    column has a pivot.
+    Gauss-Jordan column by column, up to the first column f without a
+    pivot; then y_f = 1, every later column is 0, and each pivot variable
+    is minus its row's entry in column f.  Going on past f would not move
+    column f: every later pivot row is one of the rows left below the
+    pivots, which are zero there.  Every column before f is a pivot, so the
+    pivot row of column c is row c, and it is zero before column c.  None
+    when every column has a pivot.
     """
     work = [[v % q for v in row] for row in rows]
-    pivots: list[int] = []
     for c in range(m):
-        r = len(pivots)
-        src = next((i for i in range(r, len(work)) if work[i][c]), None)
+        src = next((i for i in range(c, len(work)) if work[i][c]), None)
         if src is None:
-            continue
-        work[r], work[src] = work[src], work[r]
-        scale = pow(work[r][c], -1, q)
-        work[r] = [v * scale % q for v in work[r]]
+            break
+        work[c], work[src] = work[src], work[c]
+        scale = pow(work[c][c], -1, q)
+        pivot = work[c][c:] = [v * scale % q for v in work[c][c:]]
         for i, row in enumerate(work):
-            if i != r and row[c]:
+            if i != c and row[c]:
                 f = row[c]
-                work[i] = [(v - f * w) % q for v, w in zip(row, work[r])]
-        pivots.append(c)
-    free = next((c for c in range(m) if c not in pivots), None)
-    if free is None:
+                row[c:] = [(v - f * w) % q for v, w in zip(row[c:], pivot)]
+    else:
         return None
     y = [0] * m
-    y[free] = 1
-    for i, c in enumerate(pivots):
-        y[c] = -work[i][free] % q
+    y[c] = 1
+    for i in range(c):
+        y[i] = -work[i][c] % q
     return y
 
 
@@ -440,6 +439,35 @@ class TestBlockedEliminationAgainstReference:
             y = _check_against_reference(rows, m, q)
             assert y[free] == 1 and not any(y[free + 1 :])
         assert _check_against_reference(_random_rows(rng, m + 2, m, q), m, q) is None
+
+    @pytest.mark.parametrize("q", _WIDE_PRIMES)
+    def test_free_column_inside_a_later_panel(self, q, monkeypatch):
+        # The first free column sits in the middle of panel 3, so the kernel
+        # vector is read back through three full panels and part of a
+        # fourth.  The same rows are then solved with the block shrunk so
+        # that the updates below each panel run in chunks of 64 columns in
+        # panel 0 and 70 in panel 1, off the panel boundaries.
+        free = 3 * _PANEL + 17
+        m, k = free + 3, free + _PIVOT_SLACK
+        rng = random.Random(q % 1000 + 5)
+        rows = _random_rows(rng, k, m, q)
+        coeffs = [rng.randrange(q) for _ in range(free)]
+        for row in rows:
+            row[free] = sum(c * v for c, v in zip(coeffs, row)) % q
+        y = _check_against_reference(rows, m, q)
+        assert y[free] == 1 and not any(y[free + 1 :])
+        widths = []
+        inner = galois.matmul_mod
+
+        def spy(a, b, q):
+            if b.ndim == 2:
+                widths.append(b.shape[1])
+            return inner(a, b, q)
+
+        monkeypatch.setattr(galois, "_BLOCK", 70 * (k - _PANEL))
+        monkeypatch.setattr(galois, "matmul_mod", spy)
+        assert nullspace_of_matrix(np.array(rows, dtype=np.int64), q).tolist() == y
+        assert {64, 70} <= set(widths)
 
     @pytest.mark.parametrize("q", _WIDE_PRIMES)
     def test_pivot_below_the_short_block(self, q, monkeypatch):
