@@ -41,7 +41,6 @@ from .rate_distortion import (
     metric_value,
     optimal_binary,
     optimal_logloss,
-    rp_binary_oracle,
     solve_rp,
 )
 from .galois import (
@@ -103,7 +102,6 @@ __all__ = [
     "metric_value",
     "optimal_binary",
     "optimal_logloss",
-    "rp_binary_oracle",
     "first_order_rate",
     "memory_lower_bound",
     "solve_rp",

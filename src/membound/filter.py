@@ -44,6 +44,7 @@ from .galois import (
     matmul_mod,
     nullspace_of_matrix,
     sample_field_elements,
+    stream_bases,
 )
 from .rate_distortion import optimal_binary
 
@@ -255,19 +256,20 @@ def _require_bytes(elements: Sequence[bytes]) -> None:
             raise DomainError(f"element {element!r} must be a byte string")
 
 
-def _streams(params: FilterParams, elements: Sequence[bytes]) -> list[WordStream]:
-    """The hash streams of the elements, one per element."""
-    return [WordStream(params.seed, _ELEMENT_TAG + e) for e in elements]
+def _element_bases(params: FilterParams, elements: Sequence[bytes]) -> np.ndarray:
+    """The bases of the elements' hash streams, as one uint64 array."""
+    return stream_bases(params.seed, [_ELEMENT_TAG + e for e in elements])
 
 
 def _hash_rows(params: FilterParams, elements: Sequence[bytes]) -> np.ndarray:
     """Hash rows in GF(q)^m for each element, as an int64 matrix.
 
     Every element is checked before any is hashed; the rows then come from
-    one batched ``sample_field_elements`` call over the elements' streams.
+    one batched ``sample_field_elements`` call over the elements' stream
+    bases.
     """
     _require_bytes(elements)
-    return sample_field_elements(_streams(params, elements), params.q, 0, params.m)
+    return sample_field_elements(_element_bases(params, elements), params.q, 0, params.m)
 
 
 def _packed_rows(params: FilterParams, keys: list[bytes]) -> np.ndarray:
@@ -375,7 +377,8 @@ def query_many(state: FilterState, elements: Sequence[bytes]) -> np.ndarray:
     and each hash entry depends only on its element and column.  A batch is
     at most one sampling block of words, ``_BLOCK // len(support)``
     elements (at least one), and at most ``_BATCH`` elements, which bounds
-    the per-element stream objects when the support is small.  Over GF(2)
+    the batch's tagged labels and digests, Python objects of about 100 bytes
+    per element, when the support is small.  Over GF(2)
     ``y`` is 1 on its support, so an element is accepted iff its draws
     there sum to 0, and ``_gf2_draw_sums`` gives that sum from one XOR-fold
     of the mixer's words with no row of draws.  Over GF(q) with q >= 3 the
@@ -388,11 +391,11 @@ def query_many(state: FilterState, elements: Sequence[bytes]) -> np.ndarray:
     out = np.empty(len(elements), dtype=np.int64)
     for lo in range(0, len(elements), step):
         chunk = elements[lo : lo + step]
-        streams = _streams(params, chunk)
+        bases = _element_bases(params, chunk)
         if params.q == 2:
-            answers = _gf2_draw_sums(streams, columns) == 0
+            answers = _gf2_draw_sums(bases, columns) == 0
         else:
-            rows = sample_field_elements(streams, params.q, 0, params.m, columns)
+            rows = sample_field_elements(bases, params.q, 0, params.m, columns)
             answers = matmul_mod(rows, y, params.q) == 0
             del rows  # free this batch before the next one is hashed
         out[lo : lo + len(chunk)] = answers

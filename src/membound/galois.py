@@ -34,19 +34,24 @@ whether hashed element rows lie in its kernel.  This module provides:
   the full height.  That pass, ``_gauss_jordan``, works on int64 in place
   and subtracts one unreduced rank-1 product per column, reducing the
   block only as often as int64 needs;
-* ``WordStream`` -- a pure, keyed 64-bit word source (blake2b absorption +
-  splitmix64 counter expansion), so every hash row is reproducible from
-  (seed, element bytes) alone;
+* ``stream_bases`` -- the 64-bit bases of a batch of streams, one keyed
+  8-byte blake2b digest of each label from one pre-keyed hasher, read as
+  one uint64 array: the only place a label is hashed, so every hash row is
+  reproducible from (seed, element bytes) alone;
+* ``WordStream`` -- one pure, keyed 64-bit word source: its base from
+  ``stream_bases``, expanded by a splitmix64 counter;
 * ``sample_field_elements`` -- rejection sampling of field elements from one
-  stream or from a batch of streams at once, at every draw of a range or
-  at chosen columns of it, in cache-sized blocks mixed and reduced in
-  place.  Every word comes from the one splitmix64 mixer: ``_splitmix64``
-  is ``_splitmix64_state``, the state z before the final xor-shift,
-  finished as z ^ (z >> 31);
+  stream, a sequence of streams or a uint64 array of stream bases, at every
+  draw of a range or at chosen columns of it, in cache-sized blocks mixed
+  and reduced in place; streams are read as their bases at the entry, so
+  one kernel serves every form.  Every word comes from the one splitmix64
+  mixer: ``_splitmix64`` is ``_splitmix64_state``, the state z before the
+  final xor-shift, finished as z ^ (z >> 31);
 * ``_gf2_draw_sums`` -- the sum over GF(2) of each stream's draws at chosen
-  columns, which is what a GF(2) query needs: a draw is bit 0 XOR bit 31
-  of z, so the sum is read from the XOR of the states, folded block by
-  block, with no word finished or reduced on its own.
+  columns, from streams or bases as above, which is what a GF(2) query
+  needs: a draw is bit 0 XOR bit 31 of z, so the sum is read from the XOR
+  of the states, folded block by block, with no word finished or reduced
+  on its own.
 """
 
 from __future__ import annotations
@@ -66,6 +71,7 @@ __all__ = [
     "matmul_mod",
     "nullspace_of_matrix",
     "WordStream",
+    "stream_bases",
     "sample_field_elements",
 ]
 
@@ -502,29 +508,64 @@ def _splitmix64(bases, indices, attempt, out, scratch=None) -> np.ndarray:
     return np.bitwise_xor(out, shifted, out=out)
 
 
+def stream_bases(seed: int, labels: Sequence[bytes]) -> np.ndarray:
+    """The 64-bit bases of the streams keyed by ``(seed, label)``, one per
+    label, as a read-only 1-D uint64 array.
+
+    A base is the 8-byte blake2b digest of the label under the key
+    ``seed`` (8 bytes, little-endian) + ``b"membound.v1"``, read
+    little-endian.  One keyed hasher is made per call and copied for each
+    label, so a label costs one copy, update and digest, and the digests are
+    read with one ``np.frombuffer``.  ``sample_field_elements`` and
+    ``_gf2_draw_sums`` take the array in place of a sequence of streams.
+    """
+    if not isinstance(seed, int) or not (0 <= seed < 1 << 64):
+        raise DomainError(f"seed {seed!r} is not an unsigned 64-bit integer")
+    keyed = hashlib.blake2b(digest_size=8, key=seed.to_bytes(8, "little") + b"membound.v1")
+    digests = []
+    for label in labels:
+        if not isinstance(label, bytes):
+            raise DomainError("label must be bytes")
+        hasher = keyed.copy()
+        hasher.update(label)
+        digests.append(hasher.digest())
+    return np.frombuffer(b"".join(digests), dtype="<u8").astype(np.uint64, copy=False)
+
+
 @dataclass(frozen=True)
 class WordStream:
     """A pure stream of 64-bit words keyed by ``(seed, label)``.
 
     The label (an element identifier, or a role tag such as the filter
-    build's subset stream) is absorbed into a 64-bit base with keyed blake2b.  The word
-    for rejection attempt a < 256 of draw i < 2**56 is ``_splitmix64`` of
-    that base at (i, a), so any word is addressable directly, and
-    ``sample_field_elements`` reads the base alone.  Equal inputs always
-    produce equal words, on every platform.
+    build's subset stream) is absorbed into the 64-bit base that
+    ``stream_bases`` gives it.  The word for rejection attempt a < 256 of
+    draw i < 2**56 is ``_splitmix64`` of that base at (i, a), so any word
+    is addressable directly, and ``sample_field_elements`` reads the base
+    alone.  Equal inputs always produce equal words, on every platform.
     """
 
     seed: int
     label: bytes
 
     def __post_init__(self) -> None:
-        if not isinstance(self.seed, int) or not (0 <= self.seed < 1 << 64):
-            raise DomainError(f"seed {self.seed!r} is not an unsigned 64-bit integer")
-        if not isinstance(self.label, bytes):
-            raise DomainError("label must be bytes")
-        key = self.seed.to_bytes(8, "little") + b"membound.v1"
-        digest = hashlib.blake2b(self.label, digest_size=8, key=key).digest()
-        object.__setattr__(self, "_base", int.from_bytes(digest, "little"))
+        base = stream_bases(self.seed, [self.label])[0]
+        object.__setattr__(self, "_base", int(base))
+
+
+def _bases_of(streams) -> tuple[np.ndarray, bool]:
+    """The bases of one ``WordStream``, a sequence of them, or a 1-D array
+    of bases as ``stream_bases`` gives, as a uint64 column, and whether it
+    was one stream."""
+    if isinstance(streams, WordStream):
+        return np.array([[streams._base]], dtype=np.uint64), True
+    if isinstance(streams, np.ndarray):
+        if streams.ndim != 1 or streams.dtype != np.uint64:
+            raise DomainError("stream bases must be a 1-D uint64 array")
+        return streams.reshape(-1, 1), False
+    streams = list(streams)
+    if not all(isinstance(s, WordStream) for s in streams):
+        raise DomainError("streams must be WordStream instances")
+    return np.array([s._base for s in streams], dtype=np.uint64).reshape(-1, 1), False
 
 
 def _rejection_threshold(q: int) -> int:
@@ -533,7 +574,7 @@ def _rejection_threshold(q: int) -> int:
 
 
 def sample_field_elements(
-    stream: WordStream | Sequence[WordStream],
+    stream: WordStream | Sequence[WordStream] | np.ndarray,
     q: int,
     start: int,
     count: int,
@@ -544,8 +585,9 @@ def sample_field_elements(
     Draw i takes the word at attempt 0 and, while that word is at or above
     the largest multiple of q below 2**64, the word at the next attempt, up
     to attempt 255; so the result is exactly uniform.  One stream gives
-    shape ``(count,)``; a sequence of streams gives a ``(len, count)`` int64
-    array whose row i equals the one-stream call on stream i.
+    shape ``(count,)``; a sequence of streams, or a 1-D uint64 array of
+    their bases from ``stream_bases``, gives a ``(len, count)`` int64 array
+    whose row i equals the one-stream call on stream i.
 
     ``columns``, a 1-D integer array of offsets in [0, count), makes only
     the draws start + columns[j], in that order, so the result has
@@ -557,10 +599,7 @@ def sample_field_elements(
     its rejected words are redrawn as (row, column) pairs, and it is reduced
     mod q before the next block starts.
     """
-    single = isinstance(stream, WordStream)
-    streams = [stream] if single else list(stream)
-    if not all(isinstance(s, WordStream) for s in streams):
-        raise DomainError("streams must be WordStream instances")
+    bases, single = _bases_of(stream)
     start, count = operator.index(start), operator.index(count)
     if not (0 <= start and 0 <= count and start + count <= 1 << 56):
         raise DomainError(f"draws {start!r}..+{count!r} outside [0, 2**56)")
@@ -576,15 +615,14 @@ def sample_field_elements(
     # 0 when q = 2, where 2**64 itself is the threshold.
     threshold = np.uint64(_rejection_threshold(q) % (1 << 64))
     q = np.uint64(q)
-    bases = np.array([s._base for s in streams], dtype=np.uint64).reshape(-1, 1)
-    out = np.empty((len(streams), draws.size), dtype=np.int64)
+    out = np.empty((len(bases), draws.size), dtype=np.int64)
     words = out.view(np.uint64)
     rows = max(1, _BLOCK // max(draws.size, 1))
     width = max(1, min(draws.size, _BLOCK))
-    scratch = np.empty(min(len(streams), rows) * width, dtype=np.uint64)
+    scratch = np.empty(min(len(bases), rows) * width, dtype=np.uint64)
     for c0 in range(0, draws.size, width):
         indices = draws[c0 : c0 + width]
-        for r0 in range(0, len(streams), rows):
+        for r0 in range(0, len(bases), rows):
             block = words[r0 : r0 + rows, c0 : c0 + width]
             base = bases[r0 : r0 + rows]
             _splitmix64(base, indices, 0, block, scratch)
@@ -613,28 +651,32 @@ def sample_field_elements(
     return out[0] if single else out
 
 
-def _gf2_draw_sums(streams: Sequence[WordStream], columns: np.ndarray) -> np.ndarray:
+def _gf2_draw_sums(
+    streams: Sequence[WordStream] | np.ndarray, columns: np.ndarray
+) -> np.ndarray:
     """Sum over GF(2) of each stream's draws at ``columns``, as int64 0/1.
 
-    Row i equals ``sample_field_elements(streams[i], 2, 0, count,
-    columns).sum() % 2`` for any count above every column.  At q = 2 every
-    word is accepted and the draw is its low bit, which is bit 0 of z XOR
-    bit 31 of z for splitmix64's state z before its final xor-shift.  So
-    the sum is bit 0 XOR bit 31 of the XOR of those states: each block of
-    states (whole rows while they fit in a ``_BLOCK``, else column chunks)
-    is XOR-folded along its rows, and the final xor-shift and the reduction
-    are never applied word by word.
+    ``streams`` is a sequence of streams or a 1-D uint64 array of their
+    bases, as for ``sample_field_elements``.  Row i equals
+    ``sample_field_elements(streams[i], 2, 0, count, columns).sum() % 2``
+    for any count above every column.  At q = 2 every word is accepted and
+    the draw is its low bit, which is bit 0 of z XOR bit 31 of z for
+    splitmix64's state z before its final xor-shift.  So the sum is bit 0
+    XOR bit 31 of the XOR of those states: each block of states (whole rows
+    while they fit in a ``_BLOCK``, else column chunks) is XOR-folded along
+    its rows, and the final xor-shift and the reduction are never applied
+    word by word.
     """
     draws = np.asarray(columns, dtype=np.uint64)
-    bases = np.array([s._base for s in streams], dtype=np.uint64).reshape(-1, 1)
+    bases = _bases_of(streams)[0]
     width = max(1, min(draws.size, _BLOCK))
     rows = max(1, _BLOCK // width)
-    states = np.empty((min(len(streams), rows), width), dtype=np.uint64)
+    states = np.empty((min(len(bases), rows), width), dtype=np.uint64)
     scratch = np.empty(states.size, dtype=np.uint64)
-    folded = np.zeros(len(streams), dtype=np.uint64)
+    folded = np.zeros(len(bases), dtype=np.uint64)
     for c0 in range(0, draws.size, width):
         indices = draws[c0 : c0 + width]
-        for r0 in range(0, len(streams), rows):
+        for r0 in range(0, len(bases), rows):
             base = bases[r0 : r0 + rows]
             block = states[: base.shape[0], : indices.size]
             _splitmix64_state(base, indices, 0, block, scratch)

@@ -43,7 +43,6 @@ __all__ = [
     "optimal_binary",
     "optimal_logloss",
     "solve_rp",
-    "rp_binary_oracle",
     "first_order_rate",
     "memory_lower_bound",
 ]
@@ -246,40 +245,6 @@ def optimal_logloss(eps_K: float, eps_N: float) -> LogLossOptimum:
     else:
         mu_N = DiscreteDistribution(((0.0, 1.0 - q_star), (x_star, q_star)))
     return LogLossOptimum(x_star, q_star, mu_K, mu_N, max(0.0, -math.log2(q_star)))
-
-
-def rp_binary_oracle(p: float, eps_K: float, eps_N: float, grid_size: int) -> float:
-    """Brute-force R_p for FNR/FPR metrics: no optimizer, just a grid scan.
-
-    Minimizes f_p(p, Bern(a), Bern(b)) over a uniform ``grid_size`` x
-    ``grid_size`` grid of the feasible box [1-eps_K, 1] x [0, eps_N]
-    (clipped to [0, 1]).  Independent of ``solve_rp`` by construction.
-    """
-    if grid_size < 100:
-        raise DomainError(f"grid_size must be >= 100, got {grid_size}")
-    if not (0.0 < p < 1.0):
-        raise DomainError(f"key density p={p!r} outside (0, 1)")
-    if not (eps_K >= 0.0 and eps_N >= 0.0):
-        raise DomainError("error budgets must be nonnegative")
-    if eps_K + eps_N >= 1.0 and eps_K < 1.0 and eps_N < 1.0:
-        raise TrivialRegimeError(
-            f"eps_K + eps_N = {eps_K + eps_N} >= 1: rate 0 is achievable"
-        )
-    a = np.linspace(max(0.0, 1.0 - eps_K), 1.0, grid_size)[:, None]
-    b = np.linspace(0.0, min(1.0, eps_N), grid_size)[None, :]
-    c = p * a + (1.0 - p) * b
-
-    def term(x, mix):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            one = np.where(x > 0.0, x * (np.log2(np.where(x > 0.0, x, 1.0)) -
-                                         np.log2(np.where(mix > 0.0, mix, 1.0))), 0.0)
-            xm, mm = 1.0 - x, 1.0 - mix
-            two = np.where(xm > 0.0, xm * (np.log2(np.where(xm > 0.0, xm, 1.0)) -
-                                           np.log2(np.where(mm > 0.0, mm, 1.0))), 0.0)
-        return one + two
-
-    rates = term(a, c) + (1.0 - p) / p * term(b, c)
-    return float(rates.min())
 
 
 def first_order_rate(eps_K: float, eps_N: float, p: float) -> float:

@@ -94,6 +94,31 @@ def binary_corner_rate(p: float, eps_K: float, eps_N: float) -> float:
     return direct_f_p(p, bern(1.0 - eps_K), bern(eps_N))
 
 
+def rp_binary_oracle(p: float, eps_K: float, eps_N: float, grid_size: int) -> float:
+    """Brute-force R_p for FNR/FPR metrics: no optimizer, just a grid scan.
+
+    Minimizes f_p(p, Bern(a), Bern(b)) over a uniform ``grid_size`` x
+    ``grid_size`` grid of the feasible box [1-eps_K, 1] x [0, eps_N]
+    (clipped to [0, 1]).  Independent of ``solve_rp`` by construction.
+    The arguments are not validated: 0 < p < 1 and nonnegative budgets.
+    """
+    a = np.linspace(max(0.0, 1.0 - eps_K), 1.0, grid_size)[:, None]
+    b = np.linspace(0.0, min(1.0, eps_N), grid_size)[None, :]
+    c = p * a + (1.0 - p) * b
+
+    def term(x, mix):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            one = np.where(x > 0.0, x * (np.log2(np.where(x > 0.0, x, 1.0)) -
+                                         np.log2(np.where(mix > 0.0, mix, 1.0))), 0.0)
+            xm, mm = 1.0 - x, 1.0 - mix
+            two = np.where(xm > 0.0, xm * (np.log2(np.where(xm > 0.0, xm, 1.0)) -
+                                           np.log2(np.where(mm > 0.0, mm, 1.0))), 0.0)
+        return one + two
+
+    rates = term(a, c) + (1.0 - p) / p * term(b, c)
+    return float(rates.min())
+
+
 _MASK64 = (1 << 64) - 1
 
 

@@ -26,6 +26,7 @@ from conftest import (
     direct_f_p,
     random_distribution,
     random_pair_shared_support,
+    rp_binary_oracle,
 )
 
 from membound import (
@@ -50,7 +51,6 @@ from membound import (
     optimal_tiny_tester,
     query_many,
     random_bytes_sampler,
-    rp_binary_oracle,
     serialize,
     solve_rp,
     wasserstein1,

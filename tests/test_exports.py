@@ -33,6 +33,7 @@ def test_every_exported_name_resolves(name):
         "frontier_sidecar",
         "FRONTIER_CSV_HEADER",
         "PrimeField",
+        "rp_binary_oracle",
     ],
 )
 def test_deleted_solver_apis_are_gone(name):

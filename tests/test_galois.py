@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import (
+    _reference_base,
     reference_dot,
     reference_element,
     reference_gauss_jordan,
@@ -38,6 +39,7 @@ from membound.galois import (
     matmul_mod,
     nullspace_of_matrix,
     sample_field_elements,
+    stream_bases,
 )
 
 
@@ -696,6 +698,72 @@ class TestWordStream:
         for args in ((0.5, 4), (0, 1.5)):
             with pytest.raises(TypeError):
                 sample_field_elements(stream, q, *args)
+
+
+class TestStreamBases:
+    """``stream_bases`` against the plain-int reference, and the sampling
+    kernels fed its array against the same kernels fed ``WordStream``s."""
+
+    @staticmethod
+    def _labels():
+        rng = random.Random(28)
+        labels = [b"", b"E", b"C", b"E" + rng.randbytes(1023), rng.randbytes(1024)]
+        for tag in (b"E", b"C"):
+            labels += [tag + rng.randbytes(rng.randrange(40)) for _ in range(20)]
+        return labels
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+    def test_bases_match_the_reference(self, seed):
+        labels = self._labels()
+        got = stream_bases(seed, labels)
+        assert got.dtype == np.uint64 and got.shape == (len(labels),)
+        assert got.tolist() == [_reference_base(seed, label) for label in labels]
+        assert [WordStream(seed, label)._base for label in labels] == got.tolist()
+
+    def test_bad_seed_or_label_raises_and_no_labels_give_no_bases(self):
+        for bad in (-1, 1 << 64, 0.5, "0", None):
+            for labels in ([b"x"], []):
+                with pytest.raises(DomainError):
+                    stream_bases(bad, labels)
+        for labels in ([b"x", "y"], [bytearray(b"x")], [None]):
+            with pytest.raises(DomainError):
+                stream_bases(0, labels)
+        empty = stream_bases(0, [])
+        assert empty.dtype == np.uint64 and empty.shape == (0,)
+
+    @pytest.mark.parametrize("q", (2, 3, 5, 4294967291))
+    def test_sampling_from_bases_matches_streams(self, q):
+        labels = [b"E-bases-%d" % i for i in range(9)]
+        streams = [WordStream(17, label) for label in labels]
+        bases = stream_bases(17, labels)
+        m, start = 40, 3
+        for columns in (None, np.array([m - 1, 0, 7, 7])):
+            for rows in (0, 1, len(labels)):
+                want = sample_field_elements(streams[:rows], q, start, m, columns)
+                got = sample_field_elements(bases[:rows], q, start, m, columns)
+                assert got.dtype == np.int64 and got.tolist() == want.tolist()
+            one = sample_field_elements(streams[4], q, start, m, columns)
+            assert sample_field_elements(bases[4:5], q, start, m, columns).tolist() == [
+                one.tolist()
+            ]
+
+    def test_gf2_draw_sums_from_bases_match_streams(self):
+        labels = [b"E-sums-%d" % i for i in range(11)]
+        streams = [WordStream(19, label) for label in labels]
+        bases = stream_bases(19, labels)
+        for columns in ([], [0], [29, 0, 5, 5], list(range(30))):
+            columns = np.array(columns, dtype=np.int64)
+            want = _gf2_draw_sums(streams, columns)
+            assert _gf2_draw_sums(bases, columns).tolist() == want.tolist()
+        assert _gf2_draw_sums(bases[:0], np.arange(3)).shape == (0,)
+
+    def test_bases_must_be_a_1d_uint64_array(self):
+        bases = stream_bases(1, [b"a", b"b"])
+        for bad in (bases.astype(np.int64), bases.reshape(1, 2)):
+            with pytest.raises(DomainError):
+                sample_field_elements(bad, 3, 0, 4)
+            with pytest.raises(DomainError):
+                _gf2_draw_sums(bad, np.arange(4))
 
 
 class _ForcedRejection(WordStream):

@@ -7,7 +7,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import random_distribution, reference_inner_solve, zero_rate_feasible
+from conftest import (
+    random_distribution,
+    reference_inner_solve,
+    rp_binary_oracle,
+    zero_rate_feasible,
+)
 
 from membound import (
     DiscreteDistribution,
@@ -23,7 +28,6 @@ from membound import (
     metric_value,
     optimal_binary,
     optimal_logloss,
-    rp_binary_oracle,
     solve_rp,
     wasserstein1,
 )
@@ -226,25 +230,6 @@ class TestRpBinaryOracle:
     def test_sparse_limit_approaches_kl(self):
         got = rp_binary_oracle(1e-4, 0.1, 0.1, 500)
         assert abs(got - KL_09_01) < 2e-3
-
-    def test_grid_floor(self):
-        with pytest.raises(DomainError):
-            rp_binary_oracle(0.5, 0.1, 0.1, 99)
-
-    def test_bad_density(self):
-        with pytest.raises(DomainError):
-            rp_binary_oracle(0.0, 0.1, 0.1, 100)
-        with pytest.raises(DomainError):
-            rp_binary_oracle(1.0, 0.1, 0.1, 100)
-
-    def test_trivial_regime(self):
-        with pytest.raises(TrivialRegimeError):
-            rp_binary_oracle(0.5, 0.6, 0.6, 100)
-
-    def test_nan_budget_rejected(self):
-        for eps_K, eps_N in ((math.nan, 0.1), (0.1, math.nan)):
-            with pytest.raises(DomainError):
-                rp_binary_oracle(0.1, eps_K, eps_N, 100)
 
 
 class TestFirstOrderRate:
